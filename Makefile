@@ -1,6 +1,6 @@
 # Developer conveniences for the Whisper reproduction.
 
-.PHONY: install test bench examples figures overload exactly-once check check-self-test shard shard-smoke perf perf-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke all clean
+.PHONY: install test bench examples figures overload exactly-once check check-self-test shard shard-smoke perf perf-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke perfbench-test all clean
 
 install:
 	python setup.py develop
@@ -107,6 +107,12 @@ capacity-smoke:
 	python -m repro check --capacity --seeds 1 --schedules 25 --timeout 300
 	pytest tests/properties/test_prop_autoscale.py tests/core/test_breaker.py \
 		tests/core/test_rescache.py tests/bench/test_capacity.py -q
+
+# The benchmark's own tests: tiny runs of every workload, metric names
+# against BENCHMARK.json, traced/untraced identity, and runs that must
+# fail on a wrong reply or a duplicated effect.
+perfbench-test:
+	python -m pytest perfbench/tests -q
 
 outputs:
 	pytest tests/ 2>&1 | tee test_output.txt

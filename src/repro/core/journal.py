@@ -30,6 +30,12 @@ the result) and the journal is bounded: once ``capacity`` is exceeded the
 oldest ``DONE`` entries are evicted — an evicted entry degrades that
 invocation back to at-least-once, which the campaign's duplicate audit
 would surface, so capacity is sized well above the retry horizon.
+
+Eviction order is insertion/completion order (``complete`` and ``merge``
+move an entry to the young end); ``EXECUTING`` markers are skipped, never
+evicted.  A full journal pays for each insert only the in-flight markers
+ahead of the oldest ``DONE`` entry plus the excess (one entry per call in
+steady state), independent of ``capacity``.
 """
 
 from __future__ import annotations
@@ -231,12 +237,23 @@ class DedupJournal:
         return [entry.replicable() for entry in self._entries.values() if entry.done]
 
     def _evict(self) -> None:
-        """Evict oldest ``DONE`` entries past capacity (never in-flight)."""
-        if len(self._entries) <= self.capacity:
+        """Evict the oldest ``DONE`` entries past capacity (never in-flight).
+
+        Walks from the oldest end, skipping ``EXECUTING`` markers, and stops
+        once it holds ``len - capacity`` victims, so one call visits the
+        in-flight entries ahead of its last victim plus the excess — not the
+        whole journal.  With too few ``DONE`` entries the journal stays over
+        capacity until in-flight entries complete or merge.
+        """
+        excess = len(self._entries) - self.capacity
+        if excess <= 0:
             return
-        for key in list(self._entries):
-            if len(self._entries) <= self.capacity:
-                break
-            if self._entries[key].done:
-                del self._entries[key]
-                self.stats.evictions += 1
+        victims = []
+        for key, entry in self._entries.items():
+            if entry.done:
+                victims.append(key)
+                if len(victims) == excess:
+                    break
+        for key in victims:
+            del self._entries[key]
+        self.stats.evictions += len(victims)

@@ -1,9 +1,31 @@
 """Unit tests for the dedup/result journal (exactly-once bookkeeping)."""
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.core import DedupJournal, JournalEntry
 from repro.core.journal import DONE, EXECUTING
+
+
+class _CountingEntries(OrderedDict):
+    """A journal entry map that counts the entries every walk visits."""
+
+    visits = 0
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self.visits += 1
+            yield key
+
+    def items(self):
+        for item in super().items():
+            self.visits += 1
+            yield item
+
+
+def _keys(journal):
+    return list(journal._entries)
 
 
 def _done_entry(invocation_id, reply="reply", epoch=None, recorded_at=0.0):
@@ -149,6 +171,70 @@ class TestBounds:
         assert "in-flight-1" in journal
         assert "in-flight-2" in journal
         assert "done-1" not in journal  # only DONE entries are evictable
+
+    def test_stale_executing_head_is_skipped(self):
+        journal = DedupJournal(capacity=3)
+        journal.begin("stale")
+        journal.complete("a", reply="A")
+        journal.complete("b", reply="B")
+        journal.complete("c", reply="C")
+        assert _keys(journal) == ["stale", "b", "c"]
+        assert journal.stats.evictions == 1
+
+    def test_all_in_flight_journal_grows_then_trims_back(self):
+        journal = DedupJournal(capacity=2)
+        for i in range(5):
+            journal.begin(f"x{i}")
+        assert len(journal) == 5  # in-flight work is never evicted
+        assert journal.stats.evictions == 0
+        # Each completion or merge makes one DONE entry, evicted at once
+        # while the journal is over capacity.
+        journal.complete("x0", reply="A")
+        assert len(journal) == 4
+        journal.merge(_done_entry("x1"))
+        assert len(journal) == 3
+        journal.complete("x2", reply="C")
+        assert _keys(journal) == ["x3", "x4"]
+        journal.complete("x3", reply="D")
+        assert _keys(journal) == ["x4", "x3"]
+        assert journal.stats.evictions == 3
+
+    def test_multi_victim_eviction_counts_each_victim_once(self):
+        journal = DedupJournal(capacity=6)
+        for i in range(4):
+            journal.complete(f"d{i}", reply=i)
+        journal.begin("x0")
+        journal.begin("x1")
+        # Shrinking a live journal is what lets one call see an excess of
+        # more than one entry.
+        journal.capacity = 2
+        assert journal.drop_executing() == 2
+        assert journal.stats.evictions == 0
+        pushed = [_done_entry(f"p{i}") for i in range(3)]
+        journal.merge(pushed[0])
+        assert _keys(journal) == ["d3", "p0"]
+        assert journal.stats.evictions == 3
+        for entry in pushed[1:]:
+            journal.merge(entry)
+        assert _keys(journal) == ["p1", "p2"]
+        assert journal.stats.evictions == 5
+
+    def test_full_journal_eviction_visits_only_inflight_head_and_excess(self):
+        journal = DedupJournal(capacity=4096)
+        journal._entries = entries = _CountingEntries()
+        in_flight = 3
+        for i in range(in_flight):
+            journal.begin(f"stale-{i}")
+        for i in range(journal.capacity - in_flight):
+            journal.complete(f"fill-{i}", reply=i)
+        assert journal.stats.evictions == 0
+        for i in range(256):
+            excess = len(journal) + 1 - journal.capacity
+            entries.visits = 0
+            journal.complete(f"extra-{i}", reply=i)
+            assert entries.visits <= excess + in_flight
+        assert journal.stats.evictions == 256
+        assert len(journal) == journal.capacity
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
