@@ -1,6 +1,6 @@
 # Developer conveniences for the Whisper reproduction.
 
-.PHONY: install test bench examples figures overload exactly-once check check-self-test shard shard-smoke perf perf-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke perfbench-test all clean
+.PHONY: install test bench examples figures overload exactly-once check check-self-test shard shard-smoke perf perf-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke perfbench-test wire-identity all clean
 
 install:
 	python setup.py develop
@@ -114,6 +114,24 @@ capacity-smoke:
 perfbench-test:
 	python -m pytest perfbench/tests -q
 
+# Wire identity across interpreters and string-hash seeds: Figure 4 and
+# the RTT tables must print the same bytes on the declared floor (3.9) and
+# the newest supported Python (3.13), under PYTHONHASHSEED 0 and 1.
+# Stdlib only; override the interpreters with WIRE_PYTHONS="...".
+WIRE_PYTHONS ?= python3.9 python3.13
+WIRE_DIR := wire-identity-out
+
+wire-identity:
+	@rm -rf $(WIRE_DIR) && mkdir -p $(WIRE_DIR)
+	@for py in $(WIRE_PYTHONS); do for seed in 0 1; do for cmd in fig4 rtt; do \
+		PYTHONHASHSEED=$$seed PYTHONPATH=src $$py -m repro $$cmd \
+			> $(WIRE_DIR)/$$cmd-$$(basename $$py)-$$seed.txt || exit 1; \
+	done; done; done
+	@for cmd in fig4 rtt; do for out in $(WIRE_DIR)/$$cmd-*.txt; do \
+		diff -u $$(ls $(WIRE_DIR)/$$cmd-*.txt | head -n 1) $$out || exit 1; \
+	done; done
+	@echo "wire-identity: fig4 and rtt identical for $(WIRE_PYTHONS) x PYTHONHASHSEED 0,1"
+
 outputs:
 	pytest tests/ 2>&1 | tee test_output.txt
 	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
@@ -122,4 +140,4 @@ all: test bench
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null || true
-	rm -rf .pytest_cache .hypothesis src/repro.egg-info
+	rm -rf .pytest_cache .hypothesis src/repro.egg-info wire-identity-out

@@ -69,6 +69,7 @@ class MessageTrace:
     #: message counters also land in the registry so one JSON export
     #: covers network traffic alongside phase latencies.
     metrics: Optional[MetricsRegistry] = field(default=None, repr=False)
+    _last_rtt_id: int = field(default=0, repr=False)
 
     # -- network hooks ---------------------------------------------------------
 
@@ -132,6 +133,22 @@ class MessageTrace:
     def stamp_request(self, correlation_id: int, time: float) -> None:
         """Time-stamp an outgoing request packet."""
         self._pending_rtt[correlation_id] = time
+
+    def stamp_new_request(self, time: float) -> int:
+        """Time-stamp a request under a fresh id and return the id.
+
+        Ids count up per trace, skipping any still pending, so they are
+        unique among open stamps and the same for every run of a seed.
+        """
+        self._last_rtt_id += 1
+        while self._last_rtt_id in self._pending_rtt:
+            self._last_rtt_id += 1
+        self._pending_rtt[self._last_rtt_id] = time
+        return self._last_rtt_id
+
+    def drop_request(self, correlation_id: int) -> None:
+        """Forget a request stamp whose reply will never come."""
+        self._pending_rtt.pop(correlation_id, None)
 
     def stamp_reply(self, correlation_id: int, time: float) -> None:
         """Time-stamp the matching reply packet; records an RTT sample."""

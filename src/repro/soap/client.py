@@ -10,7 +10,6 @@ the paper's RTT monitor (§5).
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Generator, Optional
 
 from ..simnet.message import Address
@@ -20,8 +19,6 @@ from .fault import SoapFault
 from .http import HttpRequest, RequestTimeout, http_request
 
 __all__ = ["SoapClient"]
-
-_CALL_IDS = itertools.count(1)
 
 
 class SoapClient:
@@ -63,9 +60,7 @@ class SoapClient:
             headers={"SOAPAction": operation},
         )
 
-        call_id = next(_CALL_IDS)
-        correlation = hash((self.node.name, "soap-call", call_id)) & 0x7FFFFFFF
-        trace.stamp_request(correlation, env.now)
+        correlation = trace.stamp_new_request(env.now)
         self.calls_sent += 1
         response = None
         for attempt in range(retries + 1):
@@ -77,6 +72,7 @@ class SoapClient:
             except RequestTimeout:
                 self.timeouts += 1
                 if attempt == retries:
+                    trace.drop_request(correlation)
                     raise
         trace.stamp_reply(correlation, env.now)
 

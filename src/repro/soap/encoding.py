@@ -1,4 +1,4 @@
-"""Encoding Python values as XML element trees and back.
+"""Encoding Python values as XML text and decoding element trees back.
 
 SOAP bodies carry structured values.  We use a small self-describing
 encoding: every element gets a ``type`` attribute (string, int, float,
@@ -10,9 +10,16 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from typing import Any
+from typing import Any, Optional
 
-__all__ = ["value_to_element", "element_to_value", "EncodingError"]
+__all__ = [
+    "EncodingError",
+    "element_to_value",
+    "encode_value",
+    "value_to_element",
+    "xml_attribute",
+    "xml_text",
+]
 
 
 class EncodingError(Exception):
@@ -40,38 +47,80 @@ def _check_xml_text(text: str, what: str) -> str:
     return text
 
 
-def value_to_element(tag: str, value: Any) -> ET.Element:
-    """Encode ``value`` into an element named ``tag``."""
-    element = ET.Element(tag)
+def xml_text(text: str, what: str) -> str:
+    """Check ``text`` and escape it as element content.
+
+    ElementTree's escaping (``& < >``) plus ``\\r`` as ``&#13;``: a raw
+    carriage return would be normalised away by the parser on decode.
+    """
+    _check_xml_text(text, what)
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    if "\r" in text:
+        text = text.replace("\r", "&#13;")
+    return text
+
+
+def xml_attribute(text: str, what: str) -> str:
+    """Check ``text`` and escape it as an attribute value, as ElementTree does."""
+    text = xml_text(text, what)
+    if '"' in text:
+        text = text.replace('"', "&quot;")
+    if "\n" in text:
+        text = text.replace("\n", "&#10;")
+    if "\t" in text:
+        text = text.replace("\t", "&#09;")
+    return text
+
+
+def encode_value(
+    tag: str, value: Any, name: Optional[str] = None, what: str = "struct key"
+) -> str:
+    """Encode ``value`` as the XML text of an element named ``tag``.
+
+    ``name``, when given, becomes a ``name`` attribute after ``type``; it
+    is checked (and reported as ``what``) only once the value has encoded,
+    so a bad value wins over a bad name.
+    """
     if value is None:
-        element.set("type", "null")
+        kind, content = "null", ""
     elif isinstance(value, bool):
-        element.set("type", "bool")
-        element.text = "true" if value else "false"
+        kind, content = "bool", "true" if value else "false"
     elif isinstance(value, int):
-        element.set("type", "int")
-        element.text = str(value)
+        kind, content = "int", str(value)
     elif isinstance(value, float):
-        element.set("type", "float")
-        element.text = repr(value)
+        kind, content = "float", repr(value)
     elif isinstance(value, str):
-        element.set("type", "string")
-        element.text = _check_xml_text(value, "string value")
+        kind, content = "string", xml_text(value, "string value")
     elif isinstance(value, (list, tuple)):
-        element.set("type", "list")
-        for entry in value:
-            element.append(value_to_element("item", entry))
+        kind = "list"
+        content = "".join([encode_value("item", entry) for entry in value])
     elif isinstance(value, dict):
-        element.set("type", "struct")
+        kind = "struct"
+        members = []
         for key in value:
             if not isinstance(key, str):
                 raise EncodingError(f"struct keys must be strings, got {key!r}")
-            member = value_to_element("member", value[key])
-            member.set("name", _check_xml_text(key, "struct key"))
-            element.append(member)
+            members.append(encode_value("member", value[key], key))
+        content = "".join(members)
     else:
         raise EncodingError(f"cannot encode value of type {type(value).__name__}")
-    return element
+    if name is None:
+        start = f'<{tag} type="{kind}"'
+    else:
+        start = f'<{tag} type="{kind}" name="{xml_attribute(name, what)}"'
+    if content:
+        return f"{start}>{content}</{tag}>"
+    return f"{start} />"
+
+
+def value_to_element(tag: str, value: Any) -> ET.Element:
+    """Encode ``value`` into an element named ``tag``."""
+    return ET.fromstring(encode_value(tag, value))
 
 
 def element_to_value(element: ET.Element) -> Any:

@@ -4,6 +4,17 @@ An envelope carries either an operation *call*, an operation *result*, or a
 *fault*.  Envelopes serialise to XML; their byte length is used as the
 simulated message size, so bigger payloads genuinely cost more simulated
 transmission time.
+
+``to_xml`` writes the document as text, with no element tree. Its bytes
+are the ones ``ET.tostring`` gives for the equivalent tree: the same
+declaration, the ``soapenv`` prefix, attributes in insertion order, the
+``<tag />`` short form and ElementTree's escaping. The one difference is a
+carriage return in element text, which is written as ``&#13;`` so that it
+survives the parser's line-end normalisation. Every text and attribute is
+checked for XML-invalid characters, which raise ``EncodingError``.
+
+``from_xml`` stays on ``ET.fromstring``: its C tree builder parses faster
+than a pure-Python expat decoder would.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from .encoding import element_to_value, value_to_element
+from .encoding import element_to_value, encode_value, xml_attribute, xml_text
 from .fault import SoapFault
 
 __all__ = ["Envelope", "EnvelopeError", "SOAP_ENV_NS"]
@@ -25,8 +36,21 @@ _BODY = f"{{{SOAP_ENV_NS}}}Body"
 _FAULT = f"{{{SOAP_ENV_NS}}}Fault"
 
 
+_OPEN = (
+    "<?xml version='1.0' encoding='utf-8'?>\n"
+    f'<soapenv:Envelope xmlns:soapenv="{SOAP_ENV_NS}">'
+)
+
+
 class EnvelopeError(Exception):
     """Raised when an envelope cannot be parsed."""
+
+
+def _text_element(tag: str, text: Optional[str]) -> str:
+    """A text-only element; empty text gives ElementTree's ``<tag />``."""
+    if not text:
+        return f"<{tag} />"
+    return f"<{tag}>{xml_text(text, tag)}</{tag}>"
 
 
 @dataclass
@@ -83,39 +107,46 @@ class Envelope:
     # -- XML ------------------------------------------------------------------------
 
     def to_xml(self) -> str:
-        ET.register_namespace("soapenv", SOAP_ENV_NS)
-        root = ET.Element(_ENVELOPE)
-        if self.headers:
-            header_el = ET.SubElement(root, _HEADER)
-            for name, value in sorted(self.headers.items()):
-                entry = ET.SubElement(header_el, "header", {"name": name})
-                entry.text = str(value)
-        body = ET.SubElement(root, _BODY)
-
         if self.kind == "call":
-            call_el = ET.SubElement(body, "call", {"operation": self.operation or ""})
-            for name, value in self.arguments.items():
-                argument = value_to_element("argument", value)
-                argument.set("name", name)
-                call_el.append(argument)
-        elif self.kind == "result":
-            result_el = ET.SubElement(
-                body, "result", {"operation": self.operation or ""}
+            operation = xml_attribute(self.operation or "", "operation name")
+            arguments = "".join(
+                [
+                    encode_value("argument", value, name, "argument name")
+                    for name, value in self.arguments.items()
+                ]
             )
-            result_el.append(value_to_element("return", self.value))
+            if arguments:
+                body = f'<call operation="{operation}">{arguments}</call>'
+            else:
+                body = f'<call operation="{operation}" />'
+        elif self.kind == "result":
+            operation = xml_attribute(self.operation or "", "operation name")
+            value = encode_value("return", self.value)
+            body = f'<result operation="{operation}">{value}</result>'
         elif self.kind == "fault":
             fault = self.fault
-            fault_el = ET.SubElement(body, _FAULT)
-            ET.SubElement(fault_el, "faultcode").text = fault.faultcode
-            ET.SubElement(fault_el, "faultstring").text = fault.faultstring
+            body = _text_element("faultcode", fault.faultcode)
+            body += _text_element("faultstring", fault.faultstring)
             if fault.faultactor:
-                ET.SubElement(fault_el, "faultactor").text = fault.faultactor
+                body += _text_element("faultactor", fault.faultactor)
             if fault.detail is not None:
-                detail_el = ET.SubElement(fault_el, "detail")
-                detail_el.append(value_to_element("value", fault.detail))
+                body += f"<detail>{encode_value('value', fault.detail)}</detail>"
+            body = f"<soapenv:Fault>{body}</soapenv:Fault>"
         else:
             raise EnvelopeError(f"unknown envelope kind {self.kind!r}")
-        return ET.tostring(root, encoding="unicode", xml_declaration=True)
+
+        header = ""
+        if self.headers:
+            entries = []
+            for name, value in sorted(self.headers.items()):
+                name = xml_attribute(name, "header name")
+                value = xml_text(str(value), "header value")
+                if value:
+                    entries.append(f'<header name="{name}">{value}</header>')
+                else:
+                    entries.append(f'<header name="{name}" />')
+            header = f"<soapenv:Header>{''.join(entries)}</soapenv:Header>"
+        return f"{_OPEN}{header}<soapenv:Body>{body}</soapenv:Body></soapenv:Envelope>"
 
     @classmethod
     def from_xml(cls, document: str) -> "Envelope":

@@ -6,6 +6,8 @@ either directly or as a generator that performs simulated work first (the
 Whisper web service's dispatcher forwards to the SWS-proxy and the P2P
 network before returning).  Exceptions become ``<soap:fault>`` responses;
 :class:`~repro.soap.fault.SoapFault` passes through with its code intact.
+A result or fault that cannot be encoded becomes a ``Server`` fault naming
+the :class:`~repro.soap.encoding.EncodingError`.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import inspect
 from typing import Any, Callable, Dict, Generator
 
 from ..simnet.node import Node
+from .encoding import EncodingError
 from .envelope import Envelope, EnvelopeError
 from .fault import SoapFault
 from .http import HttpRequest, HttpResponse, HttpServer
@@ -64,17 +67,22 @@ class SoapServer:
             )
             if inspect.isgenerator(outcome):
                 outcome = yield from outcome
+            body = Envelope.result(envelope.operation, outcome).to_xml()
         except SoapFault as fault:
             return self._fault_response(fault)
-        except Exception as error:  # application bug -> Server fault
+        except Exception as error:  # application bug or unencodable result
             return self._fault_response(
                 SoapFault.server(f"{type(error).__name__}: {error}")
             )
         self.calls_handled += 1
-        reply = Envelope.result(envelope.operation, outcome)
-        return HttpResponse(status=200, body=reply.to_xml())
+        return HttpResponse(status=200, body=body)
 
     def _fault_response(self, fault: SoapFault) -> HttpResponse:
         self.faults_returned += 1
-        envelope = Envelope.from_fault(fault)
-        return HttpResponse(status=500, body=envelope.to_xml())
+        try:
+            body = Envelope.from_fault(fault).to_xml()
+        except EncodingError as error:  # report why the fault cannot travel
+            body = Envelope.from_fault(
+                SoapFault.server(f"EncodingError: {error}")
+            ).to_xml()
+        return HttpResponse(status=500, body=body)

@@ -20,6 +20,10 @@ def deployment(env, network, two_hosts):
             return "done"
         if operation == "fail-client":
             raise SoapFault.client("bad arguments", detail={"why": "test"})
+        if operation == "unencodable-result":
+            return {"text": "nul\x00byte"}
+        if operation == "unencodable-fault":
+            raise SoapFault.server("bad\x00x")
         raise RuntimeError("unexpected operation")
 
     server.mount("/svc", dispatcher)
@@ -88,6 +92,24 @@ class TestFaults:
         outcome = _call(env, client_node, client, ("a", 80), "/svc", "unknown-op", {})
         assert outcome["error"].faultcode == "Server"
         assert "RuntimeError" in outcome["error"].faultstring
+
+
+    @pytest.mark.parametrize(
+        "operation, field",
+        [("unencodable-result", "string value"), ("unencodable-fault", "faultstring")],
+    )
+    def test_unencodable_reply_becomes_parseable_server_fault(
+        self, env, deployment, operation, field
+    ):
+        server, client, _s, client_node = deployment
+        outcome = _call(env, client_node, client, ("a", 80), "/svc", operation, {})
+        fault = outcome["error"]
+        assert isinstance(fault, SoapFault)
+        assert fault.faultcode == "Server"
+        assert fault.faultstring.startswith("EncodingError: ")
+        assert f"{field} contains an XML-invalid character '\\x00'" in fault.faultstring
+        assert client.faults_received == 1
+        assert (server.calls_handled, server.faults_returned) == (0, 1)
 
 
 class TestSystemFailures:

@@ -1,8 +1,10 @@
 """Unit tests for SOAP envelopes and faults."""
 
+import xml.etree.ElementTree as ET
+
 import pytest
 
-from repro.soap import Envelope, EnvelopeError, FaultCode, SoapFault
+from repro.soap import EncodingError, Envelope, EnvelopeError, FaultCode, SoapFault
 
 
 class TestCallEnvelope:
@@ -85,3 +87,57 @@ class TestErrors:
         small = Envelope.call("Op", {"a": 1})
         big = Envelope.call("Op", {"a": "x" * 10000})
         assert 0 < small.size_bytes() < big.size_bytes()
+
+
+BAD = "bad\x00x"
+
+
+class TestEveryFieldChecked:
+    """Each text and attribute the writer emits rejects XML-invalid input."""
+
+    @pytest.mark.parametrize(
+        "envelope, field",
+        [
+            (Envelope.call(BAD), "operation name"),
+            (Envelope.result(BAD, 1), "operation name"),
+            (Envelope.call("Op", {BAD: 1}), "argument name"),
+            (Envelope.call("Op", headers={BAD: "v"}), "header name"),
+            (Envelope.call("Op", headers={"h": BAD}), "header value"),
+            (Envelope.from_fault(SoapFault(BAD, "s")), "faultcode"),
+            (Envelope.from_fault(SoapFault.server(BAD)), "faultstring"),
+            (Envelope.from_fault(SoapFault("c", "s", faultactor=BAD)), "faultactor"),
+            (Envelope.call("Op", {"a": BAD}), "string value"),
+            (Envelope.result("Op", {BAD: 1}), "struct key"),
+        ],
+    )
+    def test_invalid_character_raises(self, envelope, field):
+        with pytest.raises(
+            EncodingError,
+            match=f"^{field} contains an XML-invalid character '\\\\x00' at index 3$",
+        ):
+            envelope.to_xml()
+
+
+class TestWriterCost:
+    """Encoding builds no element tree and touches no global ET state."""
+
+    def test_no_elementtree_calls_while_encoding(self, monkeypatch):
+        calls = []
+        for name in ("Element", "SubElement", "tostring", "register_namespace"):
+            original = getattr(ET, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(ET, name, counted)
+        value = {"ids": ["a", "b"], "nested": {"n": 1, "x": 2.5, "ok": True}}
+        envelopes = [
+            Envelope.call("Op", {"filter": value}, headers={"trace": "t1"}),
+            Envelope.result("Op", value),
+            Envelope.from_fault(SoapFault("Client", "bad", value, faultactor="urn:s")),
+        ]
+        for envelope in envelopes:
+            envelope.to_xml()
+            envelope.size_bytes()
+        assert calls == []
