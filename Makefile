@@ -1,6 +1,6 @@
 # Developer conveniences for the Whisper reproduction.
 
-.PHONY: install test bench examples figures overload exactly-once check check-self-test shard shard-smoke perf perf-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke perfbench-test wire-identity all clean
+.PHONY: install test bench examples figures overload exactly-once check check-self-test shard shard-smoke perf perf-smoke wan wan-smoke saga saga-smoke capacity capacity-smoke perfbench-test perf-ab wire-identity all clean
 
 install:
 	python setup.py develop
@@ -113,6 +113,17 @@ capacity-smoke:
 # fail on a wrong reply or a duplicated effect.
 perfbench-test:
 	python -m pytest perfbench/tests -q
+
+# A/B the benchmark against another checkout (stdlib only), e.g. the
+# parent commit unpacked with `git archive`; see tools/perf_ab.py:
+#   make perf-ab PARENT=/path/to/parent WORKLOAD=write-mixed SEED=5 PAIRS=10
+WORKLOAD ?= write-mixed
+SEED ?= 5
+PAIRS ?= 10
+
+perf-ab:
+	@test -n "$(PARENT)" || { echo "usage: make perf-ab PARENT=<tree> [WORKLOAD=..] [SEED=..] [PAIRS=..]"; exit 2; }
+	python3 tools/perf_ab.py $(PARENT) . --workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS)
 
 # Wire identity across interpreters and string-hash seeds: Figure 4 and
 # the RTT tables must print the same bytes on the declared floor (3.9) and

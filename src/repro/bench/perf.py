@@ -282,11 +282,12 @@ def _scenario_whisper_loop(scale: Dict[str, int], seed: int, mode: str):
     # kernel scenarios should stay runnable without it.
     from ..core.config import ScenarioConfig
     from ..core.system import WhisperSystem
-    from .workload import ClosedLoopWorkload
+    from .workload import ClosedLoopWorkload, student_arguments
 
     sample_rate = 1.0 if mode == "baseline" else CURRENT_SAMPLE_RATE
+    students = 64
     config = ScenarioConfig(
-        seed=seed, replicas=2, students=64, obs_sample_rate=sample_rate
+        seed=seed, replicas=2, students=students, obs_sample_rate=sample_rate
     )
     system = WhisperSystem(config)
     service = system.deploy_student_service()
@@ -299,8 +300,15 @@ def _scenario_whisper_loop(scale: Dict[str, int], seed: int, mode: str):
         clients=scale["whisper_clients"],
         think_time=0.02,
         requests_per_client=scale["whisper_requests"],
+        arguments=student_arguments(students),
     )
     result = workload.run()
+    if result.successes != result.requests:
+        # Failed calls end early, so the scenario would time fault paths.
+        raise RuntimeError(
+            f"whisper-loop: {result.successes} of {result.requests} requests "
+            "succeeded"
+        )
     return system.env, system.trace, {
         "requests": result.requests,
         "successes": result.successes,

@@ -24,7 +24,12 @@ from ..soap.fault import SoapFault
 from ..soap.http import RequestTimeout
 from .stats import Summary, summarize
 
-__all__ = ["WorkloadResult", "ClosedLoopWorkload", "PoissonWorkload"]
+__all__ = [
+    "WorkloadResult",
+    "ClosedLoopWorkload",
+    "PoissonWorkload",
+    "student_arguments",
+]
 
 #: Process-wide counter for workload host names: ``id(self)``-derived
 #: names collide when a freed workload's address is reused, which breaks
@@ -94,8 +99,16 @@ class WorkloadResult:
 ArgumentFactory = Callable[[int], Dict[str, Any]]
 
 
-def _student_arguments(index: int) -> Dict[str, Any]:
-    return {"ID": f"S{(index % 200) + 1:05d}"}
+def student_arguments(students: int) -> ArgumentFactory:
+    """Cycle request arguments over the IDs of a ``students``-row table."""
+
+    def arguments(index: int) -> Dict[str, Any]:
+        return {"ID": f"S{(index % students) + 1:05d}"}
+
+    return arguments
+
+
+_student_arguments = student_arguments(200)
 
 
 class ClosedLoopWorkload:

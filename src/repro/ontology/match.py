@@ -12,17 +12,44 @@ match from the METEOR-S / OWL-S matchmaking literature the paper builds on:
   be "plugged in";
 * **SUBSUME** — the advertisement is more general than the request;
 * **FAIL** — no subsumption relation at all.
+
+:meth:`ConceptMatcher.match_signature` is a pure function of its six
+arguments and the ontology, and the SWS-proxy calls it for every
+advertisement on every invocation, so the matcher memoises it.  The key is
+the value of all six arguments — both actions, and both input and output
+lists as *ordered* tuples, since :meth:`ConceptMatcher.match_concept_lists`
+is greedy and order-dependent.  Advertisement identity is not part of the
+key: republished copies and shard siblings with one signature share an
+entry, and an advertisement mutated in place looks up its new signature.
+The memo holds at most :data:`SIGNATURE_MEMO_CAPACITY` entries (remote
+advertisements can carry arbitrary URIs) and evicts the oldest when full.
+:meth:`Reasoner.invalidate` empties it, through the reasoner's
+``generation`` counter.  Cached :class:`SignatureMatch` values are frozen
+and shared between callers.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Sequence, Tuple
 
 from .reasoner import Reasoner
 
-__all__ = ["DegreeOfMatch", "ConceptMatch", "SignatureMatch", "ConceptMatcher"]
+__all__ = [
+    "DegreeOfMatch",
+    "ConceptMatch",
+    "SignatureMatch",
+    "ConceptMatcher",
+    "SIGNATURE_MEMO_CAPACITY",
+]
+
+#: Most (request, advertisement) signature pairs one matcher remembers.
+SIGNATURE_MEMO_CAPACITY = 1024
+
+_SignatureKey = Tuple[
+    str, Tuple[str, ...], Tuple[str, ...], str, Tuple[str, ...], Tuple[str, ...]
+]
 
 
 class DegreeOfMatch(enum.IntEnum):
@@ -55,26 +82,21 @@ class SignatureMatch:
     action: ConceptMatch
     inputs: Tuple[ConceptMatch, ...]
     outputs: Tuple[ConceptMatch, ...]
+    #: The weakest component bounds the whole signature.
+    degree: DegreeOfMatch = field(init=False)
+    #: Mean similarity across every component, for ranking candidates.
+    score: float = field(init=False)
 
-    @property
-    def degree(self) -> DegreeOfMatch:
-        """The weakest component bounds the whole signature."""
-        parts = [self.action.degree]
-        parts.extend(match.degree for match in self.inputs)
-        parts.extend(match.degree for match in self.outputs)
-        return min(parts)
+    def __post_init__(self) -> None:
+        parts = (self.action, *self.inputs, *self.outputs)
+        object.__setattr__(self, "degree", min(part.degree for part in parts))
+        object.__setattr__(
+            self, "score", sum(part.similarity for part in parts) / len(parts)
+        )
 
     @property
     def succeeded(self) -> bool:
         return self.degree is not DegreeOfMatch.FAIL
-
-    @property
-    def score(self) -> float:
-        """Mean similarity across every component, for ranking candidates."""
-        parts = [self.action.similarity]
-        parts.extend(match.similarity for match in self.inputs)
-        parts.extend(match.similarity for match in self.outputs)
-        return sum(parts) / len(parts)
 
 
 class ConceptMatcher:
@@ -82,6 +104,8 @@ class ConceptMatcher:
 
     def __init__(self, reasoner: Reasoner):
         self.reasoner = reasoner
+        self._signatures: Dict[_SignatureKey, SignatureMatch] = {}
+        self._signatures_generation = reasoner.generation
 
     # -- single concepts ------------------------------------------------------------
 
@@ -149,14 +173,43 @@ class ConceptMatcher:
         what the requester supplies, so the advertised input should be the
         *same or more general* — we therefore match inputs with the roles
         swapped and mirror the degree.
+
+        Memoised on the value of the six arguments (see the module doc).
         """
+        key = (
+            requested_action,
+            tuple(requested_inputs),
+            tuple(requested_outputs),
+            advertised_action,
+            tuple(advertised_inputs),
+            tuple(advertised_outputs),
+        )
+        memo = self._signatures
+        if self._signatures_generation != self.reasoner.generation:
+            memo.clear()
+            self._signatures_generation = self.reasoner.generation
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        if len(memo) >= SIGNATURE_MEMO_CAPACITY:
+            del memo[next(iter(memo))]
+        memo[key] = signature = self._match_signature(*key)
+        return signature
+
+    def _match_signature(
+        self,
+        requested_action: str,
+        requested_inputs: Tuple[str, ...],
+        requested_outputs: Tuple[str, ...],
+        advertised_action: str,
+        advertised_inputs: Tuple[str, ...],
+        advertised_outputs: Tuple[str, ...],
+    ) -> SignatureMatch:
         action = self.match_concepts(requested_action, advertised_action)
         outputs = tuple(
-            self.match_concept_lists(list(requested_outputs), list(advertised_outputs))
+            self.match_concept_lists(requested_outputs, advertised_outputs)
         )
-        raw_inputs = self.match_concept_lists(
-            list(advertised_inputs), list(requested_inputs)
-        )
+        raw_inputs = self.match_concept_lists(advertised_inputs, requested_inputs)
         inputs = tuple(
             ConceptMatch(
                 requested=match.advertised,

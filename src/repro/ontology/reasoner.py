@@ -8,6 +8,12 @@ The reasoner computes exactly what Whisper's matcher needs from OWL:
 * concept depth and least common ancestors, used for similarity scoring.
 
 Results are memoised; call :meth:`invalidate` after mutating the ontology.
+Until then every answer stays frozen at the ontology as first seen: the
+equivalence classes are built once per invalidation (a lookup of a URI
+outside the ontology does not rebuild them), and :attr:`Reasoner.generation`
+counts invalidations so that memos built on top of the reasoner — the
+signature memo of :class:`~repro.ontology.match.ConceptMatcher` — are
+emptied by the same call.
 """
 
 from __future__ import annotations
@@ -24,12 +30,16 @@ class Reasoner:
 
     def __init__(self, ontology: Ontology):
         self.ontology = ontology
+        #: Bumped by :meth:`invalidate`; dependent memos compare against it.
+        self.generation = 0
         self._ancestor_cache: Dict[str, Set[str]] = {}
         self._equivalence_root: Dict[str, str] = {}
         self._depth_cache: Dict[str, int] = {}
 
     def invalidate(self) -> None:
-        """Drop memoised results after the ontology changed."""
+        """Drop memoised results (here and in dependent memos) after the
+        ontology changed."""
+        self.generation += 1
         self._ancestor_cache.clear()
         self._equivalence_root.clear()
         self._depth_cache.clear()
@@ -38,7 +48,7 @@ class Reasoner:
 
     def _find(self, uri: str) -> str:
         """Representative of ``uri``'s equivalence class."""
-        if uri not in self._equivalence_root:
+        if not self._equivalence_root:
             self._build_equivalence_classes()
         return self._equivalence_root.get(uri, uri)
 

@@ -42,6 +42,8 @@ class TestRunMode:
         by_name = {s["name"]: s for s in record["scenarios"]}
         assert by_name["discovery-flood"]["messages"] > 0
         assert by_name["whisper-loop"]["messages"] > 0
+        whisper = by_name["whisper-loop"]
+        assert whisper["successes"] == whisper["requests"]
 
     def test_baseline_mode_restores_globals(self, micro):
         from repro.p2p import advertisement as advertisement_module
@@ -56,6 +58,13 @@ class TestRunMode:
     def test_unknown_mode_rejected(self, micro):
         with pytest.raises(ValueError):
             perf.run_mode("turbo", micro)
+
+    def test_whisper_loop_requests_stay_within_the_deployed_table(self):
+        """More requests than deployed students must not wrap onto IDs the
+        table lacks (each would fault instead of exercising the stack)."""
+        scale = dict(whisper_clients=1, whisper_requests=70)
+        _, _, extras = perf._scenario_whisper_loop(scale, 7, "current")
+        assert extras["successes"] == extras["requests"] == 70
 
 
 def _record(aggregate, headline, scale="smoke"):

@@ -1,8 +1,11 @@
 """Unit tests for the degree-of-match machinery."""
 
+from collections import Counter
+
 import pytest
 
 from repro.ontology import ConceptMatcher, DegreeOfMatch, Ontology, Reasoner
+from repro.ontology.match import SIGNATURE_MEMO_CAPACITY
 
 T = "http://t.org/o#"
 
@@ -120,3 +123,83 @@ class TestSignature:
             advertised_outputs=[T + "StudentInfo"],
         )
         assert signature.inputs[0].degree is DegreeOfMatch.SUBSUME
+
+
+def _count_reasoner_calls(reasoner, monkeypatch):
+    """Count the reasoner queries the matcher issues from now on."""
+    calls = Counter()
+    for name in ("is_subsumed_by", "equivalent", "similarity"):
+        original = getattr(reasoner, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(reasoner, name, counted)
+    return calls
+
+
+class TestSignatureMemo:
+    REQUEST = dict(
+        requested_action=T + "Record",
+        requested_inputs=[T + "StudentID"],
+        requested_outputs=[T + "StudentInfo"],
+        advertised_action=T + "Record",
+        advertised_inputs=[T + "Identifier"],
+        advertised_outputs=[T + "Transcript"],
+    )
+
+    def test_repeat_call_skips_the_reasoner(self, matcher, monkeypatch):
+        calls = _count_reasoner_calls(matcher.reasoner, monkeypatch)
+        first = matcher.match_signature(**self.REQUEST)
+        assert sum(calls.values()) > 0
+        calls.clear()
+        again = matcher.match_signature(**self.REQUEST)
+        assert sum(calls.values()) == 0
+        assert again == first
+
+    def test_key_is_the_value_not_the_container(self, matcher, monkeypatch):
+        matcher.match_signature(**self.REQUEST)
+        calls = _count_reasoner_calls(matcher.reasoner, monkeypatch)
+        as_tuples = {
+            name: tuple(value) if isinstance(value, list) else value
+            for name, value in self.REQUEST.items()
+        }
+        matcher.match_signature(**as_tuples)
+        assert sum(calls.values()) == 0
+
+    def test_flood_stays_within_the_cap_and_stays_correct(self, matcher):
+        first = matcher.match_signature(**self.REQUEST)
+        for index in range(SIGNATURE_MEMO_CAPACITY + 50):
+            matcher.match_signature(
+                requested_action=T + "Record",
+                requested_inputs=[T + f"Ghost{index}"],
+                requested_outputs=[T + "StudentInfo"],
+                advertised_action=T + "Record",
+                advertised_inputs=[T + "StudentID"],
+                advertised_outputs=[T + "StudentInfo"],
+            )
+            assert len(matcher._signatures) <= SIGNATURE_MEMO_CAPACITY
+        # The first entry was evicted; recomputing it gives the same answer.
+        fresh = ConceptMatcher(Reasoner(matcher.reasoner.ontology))
+        recomputed = matcher.match_signature(**self.REQUEST)
+        assert recomputed == first == fresh.match_signature(**self.REQUEST)
+        assert recomputed.degree is DegreeOfMatch.PLUGIN
+        ghost = matcher.match_signature(
+            requested_action=T + "Record",
+            requested_inputs=[T + "Ghost3"],
+            requested_outputs=[T + "StudentInfo"],
+            advertised_action=T + "Record",
+            advertised_inputs=[T + "StudentID"],
+            advertised_outputs=[T + "StudentInfo"],
+        )
+        assert ghost.degree is DegreeOfMatch.FAIL
+
+    def test_invalidate_empties_the_memo(self, matcher):
+        before = matcher.match_signature(**self.REQUEST)
+        assert before.degree is DegreeOfMatch.PLUGIN
+        matcher.reasoner.ontology.add_equivalence(T + "Identifier", T + "StudentID")
+        matcher.reasoner.ontology.add_equivalence(T + "Transcript", T + "StudentInfo")
+        matcher.reasoner.invalidate()
+        after = matcher.match_signature(**self.REQUEST)
+        assert after.degree is DegreeOfMatch.EXACT

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ontology import Ontology, Reasoner
+from repro.ontology.domains import university_ontology
 
 T = "http://t.org/o#"
 
@@ -114,3 +115,36 @@ class TestDepthAndSimilarity:
         reasoner.ontology.add_subclass(T + "Unrelated", T + "Thing")
         reasoner.invalidate()
         assert reasoner.is_subsumed_by(T + "Unrelated", T + "Thing")
+
+
+class TestEquivalenceBuild:
+    """The union-find is built once per invalidation, whatever is looked up."""
+
+    @staticmethod
+    def _count_builds(reasoner, monkeypatch):
+        builds = []
+        original = reasoner._build_equivalence_classes
+
+        def counted():
+            builds.append(1)
+            original()
+
+        monkeypatch.setattr(reasoner, "_build_equivalence_classes", counted)
+        return builds
+
+    def test_unknown_uris_do_not_rebuild(self, monkeypatch):
+        reasoner = Reasoner(university_ontology())
+        builds = self._count_builds(reasoner, monkeypatch)
+        for _ in range(5):
+            reasoner.equivalence_class("urn:not-in-ontology")
+        assert len(builds) == 1
+
+    def test_invalidate_rebuilds_once(self, reasoner, monkeypatch):
+        builds = self._count_builds(reasoner, monkeypatch)
+        reasoner.equivalent(T + "StudentInfo", T + "StudentRecord")
+        reasoner.invalidate()
+        reasoner.ontology.add_equivalence(T + "Unrelated", T + "Thing")
+        for _ in range(3):
+            assert reasoner.equivalent(T + "Unrelated", T + "Thing")
+            reasoner.equivalence_class("urn:not-in-ontology")
+        assert len(builds) == 2

@@ -35,6 +35,95 @@ def ontologies(draw):
     return onto
 
 
+#: URIs no drawn ontology declares, so signatures also mix in unknown concepts.
+UNKNOWN = ("urn:unknown:A", "urn:unknown:B")
+
+
+@st.composite
+def signature_queries(draw, onto, count):
+    """``count`` random ordered (request, advertisement) signatures over
+    ``onto``'s concepts and :data:`UNKNOWN`, duplicates allowed.  About
+    half are an earlier query again with each concept list possibly
+    reordered, so exact repeats and permuted near-repeats both occur."""
+    uris = st.sampled_from(sorted(onto.concepts) + list(UNKNOWN))
+    concept_lists = st.lists(uris, max_size=3).map(tuple)
+    signature = st.tuples(
+        uris, concept_lists, concept_lists, uris, concept_lists, concept_lists
+    )
+    queries = []
+    for _ in range(count):
+        if queries and draw(st.booleans()):
+            earlier = draw(st.sampled_from(queries))
+            queries.append(tuple(
+                part if isinstance(part, str) else tuple(draw(st.permutations(part)))
+                for part in earlier
+            ))
+        else:
+            queries.append(draw(signature))
+    return queries
+
+
+def assert_matches_fresh_matcher(matcher, onto, query):
+    """The memoised result equals a from-scratch match on the same ontology."""
+    got = matcher.match_signature(*query)
+    want = ConceptMatcher(Reasoner(onto)).match_signature(*query)
+    assert got.degree is want.degree
+    assert got.score == want.score
+    assert got.action == want.action
+    assert got.inputs == want.inputs
+    assert got.outputs == want.outputs
+
+
+@given(data=st.data(), onto=ontologies())
+@settings(max_examples=60, deadline=None)
+def test_memoised_signature_match_equals_fresh_match(data, onto):
+    matcher = ConceptMatcher(Reasoner(onto))
+    for query in data.draw(signature_queries(onto, 12)):
+        assert_matches_fresh_matcher(matcher, onto, query)
+
+
+@given(data=st.data(), onto=ontologies())
+@settings(max_examples=60, deadline=None)
+def test_memo_follows_invalidated_mutations(data, onto):
+    """Interleave queries with ontology mutations, each followed by
+    ``invalidate()``: the long-lived matcher never serves a stale match."""
+    matcher = ConceptMatcher(Reasoner(onto))
+    names = sorted(onto.concepts, key=lambda uri: int(uri.rsplit("C", 1)[1]))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+        for query in data.draw(signature_queries(onto, 4)):
+            assert_matches_fresh_matcher(matcher, onto, query)
+        pair = st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True)
+        low, high = sorted(data.draw(pair), key=names.index)
+        if data.draw(st.booleans()):
+            # Child above parent in index order keeps the hierarchy acyclic.
+            onto.add_subclass(high, low)
+        else:
+            onto.add_equivalence(low, high)
+        matcher.reasoner.invalidate()
+    for query in data.draw(signature_queries(onto, 4)):
+        assert_matches_fresh_matcher(matcher, onto, query)
+
+
+def test_mutation_without_invalidate_leaves_matches_frozen():
+    onto = Ontology("http://prop.test/o")
+    onto.add_concept(NS + "Record")
+    onto.add_concept(NS + "Transcript")
+    query = (
+        NS + "Record", (), (NS + "Record",), NS + "Record", (), (NS + "Transcript",)
+    )
+    matcher = ConceptMatcher(Reasoner(onto))
+    before = matcher.match_signature(*query)
+    assert before.degree is DegreeOfMatch.FAIL
+
+    onto.add_subclass(NS + "Transcript", NS + "Record")
+    assert matcher.match_signature(*query) is before
+
+    matcher.reasoner.invalidate()
+    after = matcher.match_signature(*query)
+    assert after.degree is DegreeOfMatch.PLUGIN
+    assert after == ConceptMatcher(Reasoner(onto)).match_signature(*query)
+
+
 @given(onto=ontologies())
 @settings(max_examples=60, deadline=None)
 def test_subsumption_is_reflexive(onto):
