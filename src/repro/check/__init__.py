@@ -18,11 +18,18 @@ This package explores that space without giving up determinism:
 * :mod:`~repro.check.invariants` — the safety checkers (election safety,
   epoch monotonicity, exactly-once, queue bounds, no stale result,
   convergence) evaluated after every slice of the run;
-* :mod:`~repro.check.explorer` — the loop that samples schedules, shrinks
-  a violating one to a minimal counterexample (ddmin over fault ops),
-  dumps a replayable repro file, and re-executes it byte-identically.
+* :mod:`~repro.check.scenario` — the protocol a checkable deployment
+  implements (run, seeded defect, directed and sampled schedules, repro
+  format);
+* :mod:`~repro.check.explorer` — the one pipeline over it: the loop that
+  samples schedules, shrinks a violating one to a minimal counterexample
+  (ddmin over fault ops), dumps a replayable repro file, re-executes it
+  byte-identically, and self-tests the checker against a seeded defect.
+  Its :class:`~repro.check.explorer.CheckScenario` audits election,
+  dedup and capacity invariants; :mod:`~repro.check.saga`'s
+  :class:`~repro.check.saga.SagaCheckScenario` audits saga atomicity.
 
-``python -m repro check`` is the command-line entry point.
+``python -m repro check [--saga]`` is the command-line entry point.
 """
 
 from .explorer import (
@@ -33,6 +40,7 @@ from .explorer import (
     load_repro,
     replay_repro,
     run_schedule,
+    save_repro,
     self_test,
     shrink_schedule,
 )
@@ -47,18 +55,8 @@ from .invariants import (
     saga_effects,
     stale_result_violations,
 )
-from .saga import (
-    SAGA_REPRO_FORMAT,
-    SagaCheckScenario,
-    SagaRunResult,
-    explore_saga_schedules,
-    replay_saga_repro,
-    run_dlq_demo,
-    run_saga_schedule,
-    saga_self_test,
-    save_saga_repro,
-    shrink_saga_schedule,
-)
+from .saga import SagaCheckScenario, SagaRunResult, run_dlq_demo, run_saga_schedule
+from .scenario import Scenario
 from .schedule import FaultOp, Schedule, random_schedule
 from .tiebreak import (
     AdversarialDelayTiebreak,
@@ -76,9 +74,9 @@ __all__ = [
     "FifoTiebreak",
     "InvariantRegistry",
     "RunResult",
-    "SAGA_REPRO_FORMAT",
     "SagaCheckScenario",
     "SagaRunResult",
+    "Scenario",
     "Schedule",
     "ScheduleExplorer",
     "SeededShuffleTiebreak",
@@ -86,21 +84,17 @@ __all__ = [
     "build_tiebreak",
     "convergence_violations",
     "exactly_once_violations",
-    "explore_saga_schedules",
     "load_repro",
     "queue_bound_violations",
     "random_schedule",
     "replay_repro",
-    "replay_saga_repro",
     "run_dlq_demo",
     "run_saga_schedule",
     "run_schedule",
     "saga_atomicity_violations",
     "saga_effects",
-    "saga_self_test",
-    "save_saga_repro",
+    "save_repro",
     "self_test",
-    "shrink_saga_schedule",
     "shrink_schedule",
     "stale_result_violations",
 ]

@@ -1,30 +1,34 @@
-"""The exploration loop: sample schedules, shrink violations, replay them.
+"""The one exploration pipeline: sample schedules, shrink, replay, self-test.
 
-One **run** = one :class:`CheckScenario` (a small enroll deployment with
-a mutating workload and an open-loop probe driver) executed under one
-:class:`~repro.check.schedule.Schedule` (tiebreak perturbation + fault
-ops).  The run advances in short slices; after every slice the
-:class:`~repro.check.invariants.InvariantRegistry` re-audits the system,
-so a transient violation (a stale delivery that later self-corrects) is
-caught at the slice it happens, not lost to an end-of-run audit.
+One **run** = one scenario (:class:`~repro.check.scenario.Scenario`)
+executed under one :class:`~repro.check.schedule.Schedule` (tiebreak
+perturbation + fault ops).  The run advances in short slices and
+re-audits its invariants after every slice, so a transient violation (a
+stale delivery that later self-corrects) is caught at the slice it
+happens, not lost to an end-of-run audit.  Two scenarios plug in:
+:class:`CheckScenario` here (a small enroll deployment with a mutating
+workload and an open-loop probe driver, audited by the
+:class:`~repro.check.invariants.InvariantRegistry`) and
+:class:`~repro.check.saga.SagaCheckScenario` (the loan saga under the
+atomicity audit).
 
 On a violation the explorer shrinks the schedule — ddmin over the fault
 ops, then an attempt to drop the tiebreak perturbation — to a minimal
 counterexample, dumps a **repro file** (scenario + schedule + expected
 violations + a run digest), and re-executes it to prove the file
 replays byte-identically.  ``python -m repro check --replay FILE`` does
-the same re-execution standalone.
+the same re-execution standalone, for either scenario: the file's
+``format`` field names it.
 
-:func:`self_test` is the checker's own regression test: it disables
-epoch fencing (``ScenarioConfig.epoch_fencing=False``), drives directed
-depose-then-kill schedules until an invariant trips, and requires the
-find/shrink/replay pipeline to succeed end to end — proof the invariants
-have teeth, not just that quiet runs stay quiet.
+:func:`self_test` is the checker's own regression test: it runs the
+scenario's seeded defect (epoch fencing off, or compensation off) under
+the scenario's directed schedules until an invariant trips, and requires
+the find/shrink/replay pipeline to succeed end to end — proof the
+invariants have teeth, not just that quiet runs stay quiet.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -46,7 +50,9 @@ from ..soap.fault import SoapFault
 from ..wsdl.samples import student_admin_wsdl
 from .faults import DecisionFaultInjector
 from .invariants import InvariantRegistry
-from .schedule import FaultOp, Schedule, random_schedule
+from .saga import SagaCheckScenario
+from .scenario import Scenario
+from .schedule import FaultOp, Schedule, decision_near, random_schedule
 from .tiebreak import build_tiebreak
 
 __all__ = [
@@ -60,14 +66,14 @@ __all__ = [
     "load_repro",
     "replay_repro",
     "self_test",
-    "REPRO_FORMAT",
 ]
 
-REPRO_FORMAT = "whisper-check/1"
+#: Shrinking stops after this many candidate runs.
+SHRINK_RUNS = 48
 
 
 @dataclass(frozen=True)
-class CheckScenario:
+class CheckScenario(Scenario):
     """The fixed half of an explored run (the schedule is the other half).
 
     Small on purpose: three replicas and a dozen probes already contain
@@ -79,6 +85,8 @@ class CheckScenario:
     ``shards`` and ``regions`` are mutually exclusive axes (the system
     does not support sharded multi-region deployments).
     """
+
+    REPRO_FORMAT = "whisper-check/1"
 
     seed: int = 0
     replicas: int = 3
@@ -118,21 +126,43 @@ class CheckScenario:
     def region_names(self) -> List[str]:
         return [f"r{index}" for index in range(self.regions)]
 
-    def replace(self, **changes: Any) -> "CheckScenario":
-        return dataclasses.replace(self, **changes)
+    def run(self, schedule: Schedule) -> "RunResult":
+        return run_schedule(self, schedule)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+    def seeded_defect(self) -> "CheckScenario":
+        return self.replace(epoch_fencing=False)
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CheckScenario":
-        names = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in names})
+    def directed_schedules(self, baseline: "RunResult") -> List[Schedule]:
+        """Depose-then-kill over partition offsets, kill gaps and shuffle
+        seeds: the first 36 variants (four whole tiebreak seeds, then the
+        first half of a fifth)."""
+        return [
+            _depose_then_kill(baseline, self.settle, offset, gap, tb_seed)
+            for tb_seed in (None, 1, 2, 3, 5)
+            for offset in (1.0, 1.6, 2.2, 0.6)
+            for gap in (0.8, 1.6)
+        ][:36]
+
+    def sample_schedule(
+        self, rng: random.Random, baseline: "RunResult", max_ops: int, label: str
+    ) -> Schedule:
+        return random_schedule(
+            rng,
+            baseline.hosts,
+            decision_horizon=baseline.decisions,
+            max_ops=max_ops,
+            label=label,
+            regions=self.region_names() if self.regions > 1 else (),
+            scale_events=self.capacity,
+        )
 
 
 @dataclass
 class RunResult:
     """Everything one run produced, digestible for replay comparison."""
+
+    #: What a repro file records next to the digest.
+    REPRO_FIELDS = ("violations", "violated_at", "decisions", "sim_time", "fired")
 
     violations: List[str] = field(default_factory=list)
     violated_at: Optional[float] = None
@@ -147,10 +177,6 @@ class RunResult:
     #: directed schedules use to aim an op at a wall-clock moment.
     timeline: List[Tuple[float, int]] = field(default_factory=list)
     hosts: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     def digest(self) -> str:
         """Fingerprint of the observable outcome; replays must match it."""
@@ -321,11 +347,7 @@ def run_schedule(scenario: CheckScenario, schedule: Schedule) -> RunResult:
         # announce period, then re-affirmation another watchdog tick), so
         # stretch the horizon accordingly.  Fired times are part of the
         # replayed trajectory, so the stretch is exactly reproducible.
-        last_heal = max(
-            (f["time"] + f["op"]["duration"] for f in injector.fired),
-            default=0.0,
-        )
-        horizon = max(horizon, last_heal + scenario.cooldown)
+        horizon = max(horizon, injector.last_heal + scenario.cooldown)
 
     if not violations:
         violations = registry.check_final(service)
@@ -388,35 +410,79 @@ def _eventual_rebind_violations(system, service, node, scenario) -> List[str]:
     return []
 
 
+def _depose_then_kill(
+    baseline: RunResult,
+    probe_start: float,
+    partition_offset: float,
+    kill_gap: float,
+    tiebreak_seed: Optional[int],
+) -> Schedule:
+    """The canonical split-brain schedule the fencing exists to stop.
+
+    Partition the coordinator (the group elects a successor and the proxy
+    starts delivering the successor's higher-epoch results), heal, then
+    kill the successor: the unfenced proxy re-resolves first-answer-wins
+    and can bind the deposed coordinator's stale claim, delivering an
+    old-epoch result after a newer one.
+    """
+    partition_duration = 4.0
+    partition_at = probe_start + partition_offset
+    kill_at = partition_at + partition_duration + kill_gap
+    tiebreak = (
+        {"kind": "shuffle", "seed": tiebreak_seed}
+        if tiebreak_seed is not None
+        else None
+    )
+    return Schedule(
+        tiebreak=tiebreak,
+        ops=(
+            FaultOp(
+                at_decision=decision_near(baseline.timeline, partition_at),
+                action="partition-coordinator",
+                duration=partition_duration,
+            ),
+            FaultOp(
+                at_decision=decision_near(baseline.timeline, kill_at),
+                action="crash-coordinator",
+                duration=6.0,
+            ),
+        ),
+        label="depose-then-kill",
+    )
+
+
 # -- shrinking ----------------------------------------------------------------------
 
 
 def shrink_schedule(
-    scenario: CheckScenario,
-    schedule: Schedule,
-    max_runs: int = 48,
-) -> Tuple[Schedule, RunResult, int]:
+    scenario: Scenario, schedule: Schedule
+) -> Tuple[Schedule, Any, int]:
     """ddmin the fault ops, then try dropping the tiebreak perturbation.
 
     The oracle is "the reduced schedule still violates *some* invariant"
     — a reduced schedule that trips a different checker is still a valid
-    (and smaller) counterexample.  Returns the minimal schedule, its run
-    result, and how many shrink runs were spent.
+    (and smaller) counterexample.  At most :data:`SHRINK_RUNS` candidate
+    runs.  Returns the minimal schedule, its run result, and how many
+    shrink runs were spent.
     """
     runs = 0
-    best: Optional[RunResult] = None
+    best = None
 
-    def violates(candidate: Schedule) -> Optional[RunResult]:
+    def violates(candidate: Schedule):
         nonlocal runs
-        if runs >= max_runs:
+        if runs >= SHRINK_RUNS:
             return None
         runs += 1
-        outcome = run_schedule(scenario, candidate)
+        outcome = scenario.run(candidate)
         return outcome if outcome.violations else None
+
+    def keeping(indexes: Sequence[int]) -> Schedule:
+        ops = tuple(schedule.ops[i] for i in indexes)
+        return Schedule(tiebreak=schedule.tiebreak, ops=ops, label=schedule.label)
 
     # Maybe the tiebreak alone already breaks it (no faults needed).
     if schedule.ops:
-        bare = Schedule(tiebreak=schedule.tiebreak, ops=(), label=schedule.label)
+        bare = keeping(())
         outcome = violates(bare)
         if outcome is not None:
             schedule, best = bare, outcome
@@ -424,19 +490,14 @@ def shrink_schedule(
     # ddmin over the op list: remove progressively smaller chunks.
     kept = list(range(len(schedule.ops)))
     granularity = 2
-    while len(kept) >= 2 and runs < max_runs:
+    while len(kept) >= 2 and runs < SHRINK_RUNS:
         chunk = max(1, len(kept) // granularity)
         reduced = False
         for start in range(0, len(kept), chunk):
             candidate_idx = kept[:start] + kept[start + chunk:]
             if not candidate_idx:
                 continue
-            candidate = Schedule(
-                tiebreak=schedule.tiebreak,
-                ops=tuple(schedule.ops[i] for i in candidate_idx),
-                label=schedule.label,
-            )
-            outcome = violates(candidate)
+            outcome = violates(keeping(candidate_idx))
             if outcome is not None:
                 kept, best = candidate_idx, outcome
                 granularity = max(2, granularity - 1)
@@ -446,14 +507,10 @@ def shrink_schedule(
             if chunk == 1:
                 break
             granularity = min(len(kept), granularity * 2)
-    minimal = Schedule(
-        tiebreak=schedule.tiebreak,
-        ops=tuple(schedule.ops[i] for i in kept),
-        label=schedule.label,
-    )
+    minimal = keeping(kept)
 
     # A counterexample that survives FIFO ordering is simpler still.
-    if (minimal.tiebreak or {}).get("kind", "fifo") != "fifo" and runs < max_runs:
+    if (minimal.tiebreak or {}).get("kind", "fifo") != "fifo" and runs < SHRINK_RUNS:
         fifo = Schedule(tiebreak=None, ops=minimal.ops, label=minimal.label)
         outcome = violates(fifo)
         if outcome is not None:
@@ -462,58 +519,83 @@ def shrink_schedule(
     if best is None:
         # Nothing smaller violated (or the budget ran out on the first
         # probes): re-run the original to pin down its result.
-        best = run_schedule(scenario, minimal)
+        best = scenario.run(minimal)
         runs += 1
     return minimal, best, runs
 
 
 # -- repro files --------------------------------------------------------------------
 
+#: Repro ``format`` field -> the scenario class that replays it.
+SCENARIOS = {kind.REPRO_FORMAT: kind for kind in (CheckScenario, SagaCheckScenario)}
+
 
 def save_repro(
-    path: str,
-    scenario: CheckScenario,
-    schedule: Schedule,
-    result: RunResult,
+    path: str, scenario: Scenario, schedule: Schedule, result: Any
 ) -> Dict[str, Any]:
     """Write a replayable counterexample file; returns its payload."""
     payload = {
-        "format": REPRO_FORMAT,
+        "format": scenario.REPRO_FORMAT,
         "scenario": scenario.to_dict(),
         "schedule": schedule.to_dict(),
-        "violations": result.violations,
-        "violated_at": result.violated_at,
-        "decisions": result.decisions,
-        "sim_time": result.sim_time,
-        "fired": result.fired,
         "digest": result.digest(),
     }
+    payload.update((name, getattr(result, name)) for name in result.REPRO_FIELDS)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return payload
 
 
-def load_repro(path: str) -> Tuple[CheckScenario, Schedule, Dict[str, Any]]:
+def load_repro(path: str) -> Tuple[Scenario, Schedule, Dict[str, Any]]:
+    """Read a repro file of either scenario; the ``format`` field picks it."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    if payload.get("format") != REPRO_FORMAT:
+    declared = payload.get("format") if isinstance(payload, dict) else None
+    kind = SCENARIOS.get(declared)
+    if kind is None:
         raise ValueError(
-            f"{path}: not a {REPRO_FORMAT} repro file "
-            f"(format={payload.get('format')!r})"
+            f"{path}: not a repro file (format={declared!r}, "
+            f"expected one of {sorted(SCENARIOS)})"
         )
     return (
-        CheckScenario.from_dict(payload["scenario"]),
+        kind.from_dict(payload["scenario"]),
         Schedule.from_dict(payload["schedule"]),
         payload,
     )
 
 
-def replay_repro(path: str) -> Tuple[bool, RunResult, Dict[str, Any]]:
+def replay_repro(path: str) -> Tuple[bool, Any, Dict[str, Any]]:
     """Re-execute a repro file; True iff the outcome digest matches."""
     scenario, schedule, expected = load_repro(path)
-    result = run_schedule(scenario, schedule)
+    result = scenario.run(schedule)
     return result.digest() == expected["digest"], result, expected
+
+
+def _seal(
+    scenario: Scenario,
+    schedule: Schedule,
+    result: Any,
+    repro_path: Optional[str],
+) -> Tuple[Schedule, Any, int, bool]:
+    """Turn a violating run into a verified counterexample.
+
+    Shrinks the schedule when it has fault ops to remove, then proves
+    the minimal one replays: through a written repro file when
+    ``repro_path`` is set, else by a second run compared by digest.
+    Returns ``(shrunk, shrunk_result, shrink_runs, replay_ok)``.
+    """
+    shrunk, shrunk_result, shrink_runs = (
+        shrink_schedule(scenario, schedule)
+        if schedule.ops
+        else (schedule, result, 0)
+    )
+    if repro_path:
+        save_repro(repro_path, scenario, shrunk, shrunk_result)
+        replay_ok = replay_repro(repro_path)[0]
+    else:
+        replay_ok = scenario.run(shrunk).digest() == shrunk_result.digest()
+    return shrunk, shrunk_result, shrink_runs, replay_ok
 
 
 # -- the explorer -------------------------------------------------------------------
@@ -578,13 +660,12 @@ class ScheduleExplorer:
 
     def __init__(
         self,
-        scenario: CheckScenario,
+        scenario: Scenario,
         seeds: Sequence[int],
         schedules_per_seed: int,
         max_ops: int = 4,
         time_budget: Optional[float] = None,
         repro_path: Optional[str] = None,
-        shrink: bool = True,
     ):
         self.scenario = scenario
         self.seeds = list(seeds)
@@ -592,7 +673,6 @@ class ScheduleExplorer:
         self.max_ops = max_ops
         self.time_budget = time_budget
         self.repro_path = repro_path
-        self.shrink = shrink
 
     def explore(self) -> ExploreReport:
         report = ExploreReport(
@@ -605,14 +685,13 @@ class ScheduleExplorer:
         )
         for seed in self.seeds:
             scenario = self.scenario.replace(seed=seed)
-            baseline = run_schedule(scenario, Schedule(label="baseline"))
+            baseline = scenario.run(Schedule(label="baseline"))
             report.runs += 1
             if baseline.violations:
                 # The unperturbed run already violates: report it as a
                 # counterexample with an empty schedule (nothing to shrink).
                 self._record_found(
-                    report, scenario, Schedule(label="baseline"), baseline,
-                    schedule_index=-1,
+                    report, scenario, Schedule(label="baseline"), baseline, -1
                 )
                 return report
             rng = random.Random(f"check-schedules:{seed}")
@@ -620,59 +699,29 @@ class ScheduleExplorer:
                 if deadline is not None and time.monotonic() > deadline:
                     report.truncated = True
                     return report
-                schedule = random_schedule(
-                    rng,
-                    baseline.hosts,
-                    decision_horizon=baseline.decisions,
-                    max_ops=self.max_ops,
-                    label=f"seed{seed}/{index}",
-                    regions=(
-                        scenario.region_names()
-                        if scenario.regions > 1
-                        else ()
-                    ),
-                    scale_events=scenario.capacity,
+                schedule = scenario.sample_schedule(
+                    rng, baseline, self.max_ops, label=f"seed{seed}/{index}"
                 )
-                result = run_schedule(scenario, schedule)
+                result = scenario.run(schedule)
                 report.runs += 1
                 if result.violations:
-                    self._finish_found(report, scenario, schedule, result, index)
+                    self._record_found(report, scenario, schedule, result, index)
                     return report
         return report
-
-    def _finish_found(
-        self,
-        report: ExploreReport,
-        scenario: CheckScenario,
-        schedule: Schedule,
-        result: RunResult,
-        schedule_index: int,
-    ) -> None:
-        shrunk, shrunk_result = schedule, result
-        if self.shrink and schedule.ops:
-            shrunk, shrunk_result, shrink_runs = shrink_schedule(
-                scenario, schedule
-            )
-            report.shrink_runs = shrink_runs
-            report.runs += shrink_runs
-        self._record_found(
-            report, scenario, schedule, result,
-            schedule_index=schedule_index,
-            shrunk=shrunk, shrunk_result=shrunk_result,
-        )
 
     def _record_found(
         self,
         report: ExploreReport,
-        scenario: CheckScenario,
+        scenario: Scenario,
         schedule: Schedule,
-        result: RunResult,
+        result: Any,
         schedule_index: int,
-        shrunk: Optional[Schedule] = None,
-        shrunk_result: Optional[RunResult] = None,
     ) -> None:
-        shrunk = shrunk if shrunk is not None else schedule
-        shrunk_result = shrunk_result if shrunk_result is not None else result
+        shrunk, shrunk_result, shrink_runs, replay_ok = _seal(
+            scenario, schedule, result, self.repro_path
+        )
+        report.shrink_runs = shrink_runs
+        report.runs += shrink_runs + 1  # + the replay
         found: Dict[str, Any] = {
             "seed": scenario.seed,
             "schedule_index": schedule_index,
@@ -683,137 +732,66 @@ class ScheduleExplorer:
             "original_violations": result.violations,
         }
         if self.repro_path:
-            save_repro(self.repro_path, scenario, shrunk, shrunk_result)
-            replay_ok, _replayed, _expected = replay_repro(self.repro_path)
             found["repro_path"] = self.repro_path
-            found["replay_ok"] = replay_ok
-            report.runs += 1
+        found["replay_ok"] = replay_ok
         report.found = found
 
 
-# -- the fencing-off self-test ------------------------------------------------------
-
-
-def _decision_near(timeline: Sequence[Tuple[float, int]], at_time: float) -> int:
-    """The decision count just before ``at_time`` on a baseline timeline."""
-    last = 0
-    for when, count in timeline:
-        if when > at_time:
-            break
-        last = count
-    return max(1, last)
-
-
-def _depose_then_kill(
-    baseline: RunResult,
-    probe_start: float,
-    partition_offset: float,
-    kill_gap: float,
-    tiebreak_seed: Optional[int],
-) -> Schedule:
-    """The canonical split-brain schedule the fencing exists to stop.
-
-    Partition the coordinator (the group elects a successor and the proxy
-    starts delivering the successor's higher-epoch results), heal, then
-    kill the successor: the unfenced proxy re-resolves first-answer-wins
-    and can bind the deposed coordinator's stale claim, delivering an
-    old-epoch result after a newer one.
-    """
-    partition_duration = 4.0
-    partition_at = probe_start + partition_offset
-    kill_at = partition_at + partition_duration + kill_gap
-    tiebreak = (
-        {"kind": "shuffle", "seed": tiebreak_seed}
-        if tiebreak_seed is not None
-        else None
-    )
-    return Schedule(
-        tiebreak=tiebreak,
-        ops=(
-            FaultOp(
-                at_decision=_decision_near(baseline.timeline, partition_at),
-                action="partition-coordinator",
-                duration=partition_duration,
-            ),
-            FaultOp(
-                at_decision=_decision_near(baseline.timeline, kill_at),
-                action="crash-coordinator",
-                duration=6.0,
-            ),
-        ),
-        label="depose-then-kill",
-    )
+# -- the self-test ------------------------------------------------------------------
 
 
 def self_test(
-    seed: int = 42,
+    scenario: Scenario,
     repro_path: Optional[str] = None,
-    max_tries: int = 36,
     time_budget: Optional[float] = None,
 ) -> Dict[str, Any]:
-    """Prove the checker catches what fencing prevents.
+    """Prove the checker catches what the scenario's protection prevents.
 
-    Runs the scenario **with epoch fencing disabled** under directed
-    depose-then-kill schedules (varying timing offsets and shuffle
-    seeds) until an invariant trips, then requires shrink + repro-file
-    replay to succeed.  Returns a structured outcome; ``ok`` is True only
-    if a violation was found, shrunk, and replayed byte-identically.
+    Runs :meth:`~repro.check.scenario.Scenario.seeded_defect` — the
+    unfenced election, or the saga without compensation — unperturbed,
+    then under each of its directed schedules until an invariant trips,
+    and requires the violation to shrink and replay byte-identically.
+    Returns a structured outcome; ``ok`` is True only if a violation was
+    found and its counterexample replayed.
     """
-    scenario = CheckScenario(seed=seed, epoch_fencing=False)
+    scenario = scenario.seeded_defect()
     deadline = (
         time.monotonic() + time_budget if time_budget is not None else None
     )
-    baseline = run_schedule(scenario, Schedule(label="baseline"))
+    baseline = scenario.run(Schedule(label="baseline"))
     outcome: Dict[str, Any] = {
         "ok": False,
-        "seed": seed,
+        "seed": scenario.seed,
         "tries": 0,
         "baseline_violations": baseline.violations,
     }
-    if baseline.violations:
-        # Even the unperturbed unfenced run violates — that still proves
-        # the invariants bite, but there is no schedule to shrink.
-        outcome["ok"] = True
-        outcome["violations"] = baseline.violations
-        outcome["schedule"] = "baseline (no faults needed)"
-        return outcome
 
-    probe_start = scenario.settle
-    partition_offsets = (1.0, 1.6, 2.2, 0.6)
-    kill_gaps = (0.8, 1.6)
-    tiebreak_seeds: Tuple[Optional[int], ...] = (None, 1, 2, 3, 5, 8, 13, 21, 34)
-    variants = [
-        (offset, gap, tb_seed)
-        for tb_seed in tiebreak_seeds
-        for offset in partition_offsets
-        for gap in kill_gaps
-    ]
-    for index, (offset, gap, tb_seed) in enumerate(variants[:max_tries]):
-        if deadline is not None and time.monotonic() > deadline:
-            outcome["truncated"] = True
-            break
-        schedule = _depose_then_kill(baseline, probe_start, offset, gap, tb_seed)
-        result = run_schedule(scenario, schedule)
-        outcome["tries"] = index + 1
-        if not result.violations:
-            continue
-        shrunk, shrunk_result, shrink_runs = shrink_schedule(scenario, schedule)
-        outcome["violations"] = result.violations
-        outcome["schedule"] = schedule.describe()
-        outcome["shrunk_schedule"] = shrunk.describe()
-        outcome["shrunk_violations"] = shrunk_result.violations
-        outcome["shrink_runs"] = shrink_runs
-        if repro_path:
-            save_repro(repro_path, scenario, shrunk, shrunk_result)
-            replay_ok, _result, _expected = replay_repro(repro_path)
-            outcome["repro_path"] = repro_path
-            outcome["replay_ok"] = replay_ok
-            outcome["ok"] = replay_ok
-        else:
-            # Replay in place of a file round-trip: same schedule, same
-            # digest.
-            outcome["ok"] = (
-                run_schedule(scenario, shrunk).digest() == shrunk_result.digest()
-            )
+    # The defect may bite with no faults at all (the saga's insolvent
+    # submissions strand effects on their own); that is sealed too.
+    found = (Schedule(label="baseline"), baseline) if baseline.violations else None
+    if found is None:
+        for index, schedule in enumerate(scenario.directed_schedules(baseline)):
+            if deadline is not None and time.monotonic() > deadline:
+                outcome["truncated"] = True
+                break
+            result = scenario.run(schedule)
+            outcome["tries"] = index + 1
+            if result.violations:
+                found = (schedule, result)
+                break
+    if found is None:
         return outcome
+    schedule, result = found
+    shrunk, shrunk_result, shrink_runs, replay_ok = _seal(
+        scenario, schedule, result, repro_path
+    )
+    outcome["violations"] = result.violations
+    outcome["schedule"] = schedule.describe()
+    outcome["shrunk_schedule"] = shrunk.describe()
+    outcome["shrunk_violations"] = shrunk_result.violations
+    outcome["shrink_runs"] = shrink_runs
+    if repro_path:
+        outcome["repro_path"] = repro_path
+        outcome["replay_ok"] = replay_ok
+    outcome["ok"] = replay_ok
     return outcome

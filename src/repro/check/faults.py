@@ -74,9 +74,11 @@ class DecisionFaultInjector:
         self._installed = False
 
     @property
-    def exhausted(self) -> bool:
-        """Every armed op has fired (or been skipped)."""
-        return not self._pending
+    def last_heal(self) -> float:
+        """When the last fired fault heals (0.0 before any fired)."""
+        return max(
+            (f["time"] + f["op"]["duration"] for f in self.fired), default=0.0
+        )
 
     # -- decision points ---------------------------------------------------------------
 

@@ -20,19 +20,18 @@ objects — recovers the orphaned sagas.  The atomicity invariant is
 re-audited after every slice, and a ``final=True`` pass after cooldown
 additionally requires every saga to have reached a terminal state.
 
-:func:`saga_self_test` is the teeth-check: it re-runs the scenario with
-compensation **disabled** (the seeded defect), requires the atomicity
-invariant to trip on stranded partial effects, shrinks the schedule, and
-replays the repro file byte-identically.
+The scenario plugs into :mod:`repro.check.explorer`'s one pipeline
+(random exploration, ddmin shrinking, repro files in the
+``whisper-saga-check/1`` format, replay): its seeded defect for
+:func:`~repro.check.explorer.self_test` is compensation **disabled**,
+which must trip the atomicity invariant on stranded partial effects.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -53,27 +52,19 @@ from ..simnet.events import Interrupt
 from ..wsdl.samples import loan_booking_wsdl, loan_desk_wsdl, solvency_wsdl
 from .faults import DecisionFaultInjector
 from .invariants import exactly_once_violations, saga_atomicity_violations
-from .schedule import FaultOp, Schedule, random_schedule
+from .scenario import Scenario
+from .schedule import FaultOp, Schedule, decision_near, random_schedule
 from .tiebreak import build_tiebreak
 
 __all__ = [
-    "SAGA_REPRO_FORMAT",
     "SagaCheckScenario",
     "SagaRunResult",
     "build_loan_fleet",
-    "explore_saga_schedules",
     "loan_saga",
     "loan_saga_context",
     "run_dlq_demo",
     "run_saga_schedule",
-    "shrink_saga_schedule",
-    "save_saga_repro",
-    "load_saga_repro",
-    "replay_saga_repro",
-    "saga_self_test",
 ]
-
-SAGA_REPRO_FORMAT = "whisper-saga-check/1"
 
 #: The orchestrator's host name inside every saga check run; directed
 #: schedules name it as a ``crash`` target to kill sagas mid-flight.
@@ -81,7 +72,7 @@ ORCHESTRATOR_HOST = "saga-host"
 
 
 @dataclass(frozen=True)
-class SagaCheckScenario:
+class SagaCheckScenario(Scenario):
     """The fixed half of one saga check run (the schedule is the other).
 
     Every fourth saga is submitted for an insolvent applicant (lowest
@@ -89,6 +80,8 @@ class SagaCheckScenario:
     on every run — the atomicity audit always has material, even under a
     baseline schedule.
     """
+
+    REPRO_FORMAT = "whisper-saga-check/1"
 
     seed: int = 0
     replicas: int = 2
@@ -112,21 +105,71 @@ class SagaCheckScenario:
     #: settle window stays clean so deployment is identical across runs).
     loss_rate: float = 0.0
 
-    def replace(self, **changes: Any) -> "SagaCheckScenario":
-        return dataclasses.replace(self, **changes)
+    def system_config(self) -> ScenarioConfig:
+        """The deployment the loan fleet runs on."""
+        return ScenarioConfig(
+            seed=self.seed,
+            settle=self.settle,
+            heartbeat_interval=self.heartbeat_interval,
+            miss_threshold=self.miss_threshold,
+            replicas=self.replicas,
+            request_timeout=self.step_timeout,
+            deadline_budget=self.step_budget,
+        )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+    def run(self, schedule: Schedule) -> "SagaRunResult":
+        return run_saga_schedule(self, schedule)
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SagaCheckScenario":
-        names = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in names})
+    def seeded_defect(self) -> "SagaCheckScenario":
+        return self.replace(compensation_enabled=False)
+
+    def directed_schedules(self, baseline: "SagaRunResult") -> List[Schedule]:
+        """Orchestrator crashes landed on commit boundaries (``pre-commit``
+        decisions) at eight offsets into the workload: the fallback should
+        a compensation-off baseline ever stay quiet."""
+        return [
+            Schedule(
+                ops=(
+                    FaultOp(
+                        at_decision=decision_near(
+                            baseline.timeline, self.settle + offset
+                        ),
+                        action="crash",
+                        target=ORCHESTRATOR_HOST,
+                        duration=3.0,
+                        point="pre-commit",
+                    ),
+                ),
+                label=f"crash-orchestrator/{index}",
+            )
+            for index, offset in enumerate(
+                (1.0, 2.0, 3.0, 4.0, 1.5, 2.5, 3.5, 4.5)
+            )
+        ]
+
+    def sample_schedule(
+        self,
+        rng: random.Random,
+        baseline: "SagaRunResult",
+        max_ops: int,
+        label: str,
+    ) -> Schedule:
+        """The fleet's b-peer hosts *plus* the orchestrator host are in the
+        crash pool, so orchestrators die mid-saga as readily as
+        coordinators do."""
+        return random_schedule(
+            rng, baseline.hosts, baseline.decisions, max_ops=max_ops, label=label
+        )
 
 
 @dataclass
 class SagaRunResult:
     """Everything one saga check run produced, digestible for replay."""
+
+    #: What a repro file records next to the digest.
+    REPRO_FIELDS = (
+        "violations", "violated_at", "decisions", "sim_time", "saga_states", "fired",
+    )
 
     violations: List[str] = field(default_factory=list)
     violated_at: Optional[float] = None
@@ -147,10 +190,6 @@ class SagaRunResult:
     #: Wall-to-wall simulated duration per *terminal* saga (the bench's
     #: latency sample; deterministic, so deliberately outside the digest).
     saga_elapsed: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     def digest(self) -> str:
         """Fingerprint of the observable outcome; replays must match it."""
@@ -338,16 +377,7 @@ def run_saga_schedule(
     from ..workflow.dlq import DeadLetterQueue
     from ..workflow.saga import SagaLog, SagaOrchestrator
 
-    config = ScenarioConfig(
-        seed=scenario.seed,
-        settle=scenario.settle,
-        heartbeat_interval=scenario.heartbeat_interval,
-        miss_threshold=scenario.miss_threshold,
-        replicas=scenario.replicas,
-        request_timeout=scenario.step_timeout,
-        deadline_budget=scenario.step_budget,
-    )
-    system = WhisperSystem(config)
+    system = WhisperSystem(scenario.system_config())
     services, fleet = build_loan_fleet(system, scenario.replicas)
     system.env.tiebreak = build_tiebreak(schedule.tiebreak)
     system.settle(scenario.settle)
@@ -365,7 +395,9 @@ def run_saga_schedule(
     client = system.network.add_host("saga-client")
     saga_log = SagaLog()
     dlq = DeadLetterQueue()
-    definition_box: Dict[str, Any] = {}
+    saga = loan_saga(
+        services, timeout=scenario.step_timeout, budget=scenario.step_budget
+    )
 
     def make_orchestrator() -> SagaOrchestrator:
         orchestrator = SagaOrchestrator(
@@ -375,12 +407,9 @@ def run_saga_schedule(
             compensation_enabled=scenario.compensation_enabled,
             max_compensation_attempts=scenario.compensation_attempts,
         )
-        orchestrator.register(definition_box["saga"])
+        orchestrator.register(saga)
         return orchestrator
 
-    definition_box["saga"] = loan_saga(
-        services, timeout=scenario.step_timeout, budget=scenario.step_budget
-    )
     orchestrator_box = {"current": make_orchestrator()}
     #: saga_id -> the process currently driving it (dead = orphaned).
     active: Dict[str, Any] = {}
@@ -389,7 +418,7 @@ def run_saga_schedule(
     def drive_one(saga_id: str, context: Dict[str, Any]):
         try:
             yield from orchestrator_box["current"].execute(
-                definition_box["saga"], context, saga_id=saga_id
+                saga, context, saga_id=saga_id
             )
         except Interrupt:
             return
@@ -456,11 +485,7 @@ def run_saga_schedule(
         # Stretch the horizon past the last fault's heal (mirroring the
         # explorer) and past any still-incomplete saga: recovery can only
         # start after the restart, and compensation retries take time.
-        last_heal = max(
-            (f["time"] + f["op"]["duration"] for f in injector.fired),
-            default=0.0,
-        )
-        horizon = max(horizon, last_heal + scenario.cooldown)
+        horizon = max(horizon, injector.last_heal + scenario.cooldown)
         if saga_log.incomplete() and horizon < hard_stop:
             horizon = min(max(horizon, env.now + scenario.cooldown), hard_stop)
 
@@ -500,296 +525,6 @@ def run_saga_schedule(
     return result
 
 
-# -- shrinking ----------------------------------------------------------------------
-
-
-def shrink_saga_schedule(
-    scenario: SagaCheckScenario,
-    schedule: Schedule,
-    max_runs: int = 32,
-) -> Tuple[Schedule, SagaRunResult, int]:
-    """ddmin the fault ops; the oracle is "still violates something"."""
-    runs = 0
-    best: Optional[SagaRunResult] = None
-
-    def violates(candidate: Schedule) -> Optional[SagaRunResult]:
-        nonlocal runs
-        if runs >= max_runs:
-            return None
-        runs += 1
-        outcome = run_saga_schedule(scenario, candidate)
-        return outcome if outcome.violations else None
-
-    if schedule.ops:
-        bare = Schedule(tiebreak=schedule.tiebreak, ops=(), label=schedule.label)
-        outcome = violates(bare)
-        if outcome is not None:
-            schedule, best = bare, outcome
-
-    kept = list(range(len(schedule.ops)))
-    granularity = 2
-    while len(kept) >= 2 and runs < max_runs:
-        chunk = max(1, len(kept) // granularity)
-        reduced = False
-        for start in range(0, len(kept), chunk):
-            candidate_idx = kept[:start] + kept[start + chunk:]
-            if not candidate_idx:
-                continue
-            candidate = Schedule(
-                tiebreak=schedule.tiebreak,
-                ops=tuple(schedule.ops[i] for i in candidate_idx),
-                label=schedule.label,
-            )
-            outcome = violates(candidate)
-            if outcome is not None:
-                kept, best = candidate_idx, outcome
-                granularity = max(2, granularity - 1)
-                reduced = True
-                break
-        if not reduced:
-            if chunk == 1:
-                break
-            granularity = min(len(kept), granularity * 2)
-    minimal = Schedule(
-        tiebreak=schedule.tiebreak,
-        ops=tuple(schedule.ops[i] for i in kept),
-        label=schedule.label,
-    )
-    if (minimal.tiebreak or {}).get("kind", "fifo") != "fifo" and runs < max_runs:
-        fifo = Schedule(tiebreak=None, ops=minimal.ops, label=minimal.label)
-        outcome = violates(fifo)
-        if outcome is not None:
-            minimal, best = fifo, outcome
-    if best is None:
-        best = run_saga_schedule(scenario, minimal)
-        runs += 1
-    return minimal, best, runs
-
-
-# -- repro files --------------------------------------------------------------------
-
-
-def save_saga_repro(
-    path: str,
-    scenario: SagaCheckScenario,
-    schedule: Schedule,
-    result: SagaRunResult,
-) -> Dict[str, Any]:
-    """Write a replayable saga counterexample file; returns its payload."""
-    payload = {
-        "format": SAGA_REPRO_FORMAT,
-        "scenario": scenario.to_dict(),
-        "schedule": schedule.to_dict(),
-        "violations": result.violations,
-        "violated_at": result.violated_at,
-        "decisions": result.decisions,
-        "sim_time": result.sim_time,
-        "saga_states": result.saga_states,
-        "fired": result.fired,
-        "digest": result.digest(),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return payload
-
-
-def load_saga_repro(path: str) -> Tuple[SagaCheckScenario, Schedule, Dict[str, Any]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != SAGA_REPRO_FORMAT:
-        raise ValueError(
-            f"{path}: not a {SAGA_REPRO_FORMAT} repro file "
-            f"(format={payload.get('format')!r})"
-        )
-    return (
-        SagaCheckScenario.from_dict(payload["scenario"]),
-        Schedule.from_dict(payload["schedule"]),
-        payload,
-    )
-
-
-def replay_saga_repro(path: str) -> Tuple[bool, SagaRunResult, Dict[str, Any]]:
-    """Re-execute a saga repro file; True iff the digest matches."""
-    scenario, schedule, expected = load_saga_repro(path)
-    result = run_saga_schedule(scenario, schedule)
-    return result.digest() == expected["digest"], result, expected
-
-
-# -- the compensation-off self-test -------------------------------------------------
-
-
-def _decision_near(timeline: Sequence[Tuple[float, int]], at_time: float) -> int:
-    last = 0
-    for when, count in timeline:
-        if when > at_time:
-            break
-        last = count
-    return max(1, last)
-
-
-def saga_self_test(
-    seed: int = 42,
-    repro_path: Optional[str] = None,
-    max_tries: int = 8,
-    time_budget: Optional[float] = None,
-) -> Dict[str, Any]:
-    """Prove the atomicity audit catches what compensation prevents.
-
-    Runs the loan scenario **with compensation disabled**: a failed saga
-    abandons its partial effects (the registered-but-never-reserved loan
-    stranded in the CRUD store), which the invariant must flag.  The
-    insolvent submissions trip it on the unperturbed baseline already —
-    no faults needed, the defect is in the (disabled) recovery logic
-    itself — and the found violation must shrink and replay
-    byte-identically through a repro file.  If a quiet baseline ever
-    slips through, directed orchestrator-crash schedules are tried as a
-    fallback.  ``ok`` is True only when a violation was found *and*
-    replayed to the same digest.
-    """
-    scenario = SagaCheckScenario(seed=seed, compensation_enabled=False)
-    deadline = (
-        time.monotonic() + time_budget if time_budget is not None else None
-    )
-    baseline = run_saga_schedule(scenario, Schedule(label="baseline"))
-    outcome: Dict[str, Any] = {
-        "ok": False,
-        "seed": seed,
-        "tries": 0,
-        "baseline_violations": baseline.violations,
-    }
-
-    def seal(schedule: Schedule, result: SagaRunResult) -> Dict[str, Any]:
-        shrunk, shrunk_result, shrink_runs = (
-            shrink_saga_schedule(scenario, schedule)
-            if schedule.ops
-            else (schedule, result, 0)
-        )
-        outcome["violations"] = result.violations
-        outcome["schedule"] = schedule.describe()
-        outcome["shrunk_schedule"] = shrunk.describe()
-        outcome["shrunk_violations"] = shrunk_result.violations
-        outcome["shrink_runs"] = shrink_runs
-        if repro_path:
-            save_saga_repro(repro_path, scenario, shrunk, shrunk_result)
-            replay_ok, _result, _expected = replay_saga_repro(repro_path)
-            outcome["repro_path"] = repro_path
-            outcome["replay_ok"] = replay_ok
-            outcome["ok"] = replay_ok
-        else:
-            outcome["ok"] = (
-                run_saga_schedule(scenario, shrunk).digest()
-                == shrunk_result.digest()
-            )
-        return outcome
-
-    if baseline.violations:
-        return seal(Schedule(label="baseline"), baseline)
-
-    # Fallback: crash the orchestrator at commit-boundary decisions.
-    probe_start = scenario.settle
-    offsets = (1.0, 2.0, 3.0, 4.0, 1.5, 2.5, 3.5, 4.5)
-    for index, offset in enumerate(offsets[:max_tries]):
-        if deadline is not None and time.monotonic() > deadline:
-            outcome["truncated"] = True
-            break
-        schedule = Schedule(
-            ops=(
-                FaultOp(
-                    at_decision=_decision_near(
-                        baseline.timeline, probe_start + offset
-                    ),
-                    action="crash",
-                    target=ORCHESTRATOR_HOST,
-                    duration=3.0,
-                    point="pre-commit",
-                ),
-            ),
-            label=f"crash-orchestrator/{index}",
-        )
-        result = run_saga_schedule(scenario, schedule)
-        outcome["tries"] = index + 1
-        if result.violations:
-            return seal(schedule, result)
-    return outcome
-
-
-# -- random saga schedule exploration ------------------------------------------------
-
-
-def explore_saga_schedules(
-    scenario: Optional[SagaCheckScenario] = None,
-    seeds: Sequence[int] = (0, 1, 2),
-    schedules_per_seed: int = 10,
-    max_ops: int = 4,
-    time_budget: Optional[float] = None,
-    repro_path: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Random fault schedules against the saga scenario, atomicity on.
-
-    The saga-flavoured sibling of the main explorer loop: per seed, run
-    the unperturbed baseline, then ``schedules_per_seed`` random
-    schedules sampled against the fleet's b-peer hosts *plus* the
-    orchestrator host — so the sampler crashes the orchestrator
-    mid-saga as readily as it crashes coordinators.  The first violating
-    run is shrunk and dumped as a replayable repro file.
-    """
-    if scenario is None:
-        scenario = SagaCheckScenario()
-    deadline = (
-        time.monotonic() + time_budget if time_budget is not None else None
-    )
-    report: Dict[str, Any] = {
-        "clean": True,
-        "runs": 0,
-        "seeds": list(seeds),
-        "schedules_per_seed": schedules_per_seed,
-        "truncated": False,
-    }
-    for seed in seeds:
-        per_seed = scenario.replace(seed=seed)
-        baseline = run_saga_schedule(per_seed, Schedule(label=f"seed{seed}/baseline"))
-        report["runs"] += 1
-
-        def found(schedule: Schedule, result: SagaRunResult) -> Dict[str, Any]:
-            shrunk, shrunk_result, shrink_runs = (
-                shrink_saga_schedule(per_seed, schedule)
-                if schedule.ops
-                else (schedule, result, 0)
-            )
-            report["clean"] = False
-            report["runs"] += shrink_runs
-            report["seed"] = seed
-            report["violations"] = result.violations
-            report["schedule"] = schedule.describe()
-            report["shrunk_schedule"] = shrunk.describe()
-            report["shrunk_violations"] = shrunk_result.violations
-            if repro_path:
-                save_saga_repro(repro_path, per_seed, shrunk, shrunk_result)
-                report["repro_path"] = repro_path
-            return report
-
-        if baseline.violations:
-            return found(Schedule(label=f"seed{seed}/baseline"), baseline)
-        rng = random.Random(seed * 7919 + 13)
-        for index in range(schedules_per_seed):
-            if deadline is not None and time.monotonic() > deadline:
-                report["truncated"] = True
-                return report
-            schedule = random_schedule(
-                rng,
-                baseline.hosts,
-                baseline.decisions,
-                max_ops=max_ops,
-                label=f"seed{seed}/{index}",
-            )
-            result = run_saga_schedule(per_seed, schedule)
-            report["runs"] += 1
-            if result.violations:
-                return found(schedule, result)
-    return report
-
-
 # -- the dead-letter queue demo ------------------------------------------------------
 
 
@@ -823,16 +558,7 @@ def run_dlq_demo(
         step_budget=2.5,
         compensation_attempts=2,
     )
-    config = ScenarioConfig(
-        seed=scenario.seed,
-        settle=scenario.settle,
-        heartbeat_interval=scenario.heartbeat_interval,
-        miss_threshold=scenario.miss_threshold,
-        replicas=scenario.replicas,
-        request_timeout=scenario.step_timeout,
-        deadline_budget=scenario.step_budget,
-    )
-    system = WhisperSystem(config)
+    system = WhisperSystem(scenario.system_config())
     services, fleet = build_loan_fleet(system, scenario.replicas)
     system.settle(scenario.settle)
     env = system.env

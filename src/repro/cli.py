@@ -12,9 +12,8 @@
     python -m repro shard [--shards 1,2,4] [--replicas 2] [--rate-multiple 3.0]
                           [--skip-rebalance] [--json]
     python -m repro check [--seeds 5] [--schedules 50] [--timeout 300]
-                          [--regions 2] [--capacity] [--self-test]
-                          [--replay FILE]
-                          [--saga] [--saga-self-test] [--saga-replay FILE]
+                          [--shards 2 | --regions 2 | --capacity | --saga]
+                          [--self-test | --replay FILE]
                           [--out FILE] [--json]
     python -m repro trace [--samples 20] [--crash] [--last 5] [--json]
     python -m repro metrics [--samples 50] [--crash] [--json | --csv]
@@ -39,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json as json_module
+import sys
 from typing import List, Optional, Tuple
 
 from .bench import (
@@ -364,79 +364,20 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     """Schedule exploration: 0 = clean, 1 = counterexample, 2 = checker broken."""
-    from .check import CheckScenario, ScheduleExplorer, replay_repro, self_test
-
-    if args.saga_replay:
-        from .check import replay_saga_repro
-
-        ok, result, expected = replay_saga_repro(args.saga_replay)
-        payload = {
-            "replay": args.saga_replay,
-            "match": ok,
-            "digest": result.digest(),
-            "expected_digest": expected["digest"],
-            "violations": result.violations,
-        }
-        if args.json:
-            print(json_module.dumps(payload, indent=2))
-        elif ok:
-            print(f"saga replay {args.saga_replay}: byte-identical "
-                  f"({len(result.violations)} violation(s) reproduced)")
-            for violation in result.violations:
-                print(f"  - {violation}")
-        else:
-            print(f"saga replay {args.saga_replay}: DIVERGED "
-                  f"(got {result.digest()[:16]}…, "
-                  f"expected {expected['digest'][:16]}…)")
-        return 0 if ok else 2
-
-    if args.saga_self_test:
-        from .check import saga_self_test
-
-        outcome = saga_self_test(
-            seed=args.seed,
-            repro_path=args.out,
-            time_budget=args.timeout,
-        )
-        if args.json:
-            print(json_module.dumps(outcome, indent=2))
-        else:
-            status = "OK" if outcome["ok"] else "FAILED"
-            print(f"saga checker self-test (compensation disabled): {status}")
-            for key in ("violations", "shrunk_schedule", "shrink_runs",
-                        "repro_path", "replay_ok", "tries"):
-                if key in outcome:
-                    print(f"  {key:16}: {outcome[key]}")
-        # Like --self-test: a clean pass means the atomicity audit has no
-        # teeth, which outranks a mere counterexample.
-        return 0 if outcome["ok"] else 2
-
-    if args.saga:
-        from .check import explore_saga_schedules
-
-        report = explore_saga_schedules(
-            seeds=range(args.seed, args.seed + args.seeds),
-            schedules_per_seed=args.schedules,
-            max_ops=args.max_ops,
-            time_budget=args.timeout,
-            repro_path=args.out,
-        )
-        if args.json:
-            print(json_module.dumps(report, indent=2))
-        else:
-            status = "clean" if report["clean"] else "COUNTEREXAMPLE"
-            print(f"saga schedule exploration: {status} "
-                  f"({report['runs']} runs"
-                  + (", truncated" if report.get("truncated") else "")
-                  + ")")
-            for key in ("seed", "violations", "schedule",
-                        "shrunk_schedule", "repro_path"):
-                if key in report:
-                    print(f"  {key:16}: {report[key]}")
-        return 0 if report["clean"] else 1
+    from .check import (
+        CheckScenario,
+        SagaCheckScenario,
+        ScheduleExplorer,
+        replay_repro,
+        self_test,
+    )
 
     if args.replay:
-        ok, result, expected = replay_repro(args.replay)
+        try:
+            ok, result, expected = replay_repro(args.replay)
+        except (OSError, KeyError, ValueError) as exc:
+            print(f"replay {args.replay}: cannot load ({exc})", file=sys.stderr)
+            return 2
         payload = {
             "replay": args.replay,
             "match": ok,
@@ -457,17 +398,30 @@ def _cmd_check(args: argparse.Namespace) -> int:
                   f"expected {expected['digest'][:16]}…)")
         return 0 if ok else 2
 
+    if args.saga:
+        scenario = SagaCheckScenario(seed=args.seed)
+    else:
+        scenario = CheckScenario(
+            seed=args.seed,
+            shards=args.shards,
+            regions=args.regions,
+            capacity=args.capacity,
+        )
+
     if args.self_test:
         outcome = self_test(
-            seed=args.seed,
-            repro_path=args.out,
-            time_budget=args.timeout,
+            scenario, repro_path=args.out, time_budget=args.timeout
         )
         if args.json:
             print(json_module.dumps(outcome, indent=2))
         else:
             status = "OK" if outcome["ok"] else "FAILED"
-            print(f"checker self-test (epoch fencing disabled): {status}")
+            title = (
+                "saga checker self-test (compensation disabled)"
+                if args.saga
+                else "checker self-test (epoch fencing disabled)"
+            )
+            print(f"{title}: {status}")
             for key in ("violations", "shrunk_schedule", "shrink_runs",
                         "repro_path", "replay_ok", "tries"):
                 if key in outcome:
@@ -478,11 +432,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 0 if outcome["ok"] else 2
 
     explorer = ScheduleExplorer(
-        CheckScenario(
-            shards=args.shards,
-            regions=args.regions,
-            capacity=args.capacity,
-        ),
+        scenario,
         seeds=range(args.seed, args.seed + args.seeds),
         schedules_per_seed=args.schedules,
         max_ops=args.max_ops,
@@ -495,6 +445,25 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         print(report.format())
     return 0 if report.clean else 1
+
+
+def _check_conflict(args: argparse.Namespace) -> Optional[str]:
+    """Why a ``check`` flag combination is unsupported, or None."""
+    axes = [
+        flag
+        for flag, on in (
+            ("--shards", args.shards != 1),
+            ("--regions", args.regions != 1),
+            ("--capacity", args.capacity),
+        )
+        if on
+    ]
+    if axes and (args.saga or args.self_test):
+        mode = "--saga" if args.saga else "--self-test"
+        return f"check {mode} does not combine with {', '.join(axes)}"
+    if len(axes) > 1:
+        return f"check {' and '.join(axes)} do not combine"
+    return None
 
 
 def _observed_run(
@@ -860,13 +829,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="whisper-check-repro.json",
         help="where to write the repro file if a violation is found",
     )
-    check.add_argument(
+    mode = check.add_mutually_exclusive_group()
+    mode.add_argument(
         "--replay", metavar="FILE", default=None,
-        help="re-execute a saved repro file and verify its digest",
+        help="re-execute a saved repro file (either scenario's) and "
+             "verify its digest",
     )
-    check.add_argument(
+    mode.add_argument(
         "--self-test", action="store_true",
-        help="disable epoch fencing and require the checker to catch, "
+        help="disable the scenario's protection (epoch fencing, or saga "
+             "compensation with --saga) and require the checker to catch, "
              "shrink, and replay the resulting violation",
     )
     check.add_argument(
@@ -886,17 +858,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--saga", action="store_true",
-        help="explore the saga scenario instead: random fault schedules "
+        help="check the saga scenario instead: fault schedules "
              "(orchestrator crashes included) under the atomicity audit",
-    )
-    check.add_argument(
-        "--saga-self-test", action="store_true",
-        help="disable compensation and require the atomicity audit to "
-             "catch, shrink, and replay the stranded-effects violation",
-    )
-    check.add_argument(
-        "--saga-replay", metavar="FILE", default=None,
-        help="re-execute a saved saga repro file and verify its digest",
     )
     check.set_defaults(func=_cmd_check)
 
@@ -1041,6 +1004,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "check":
+        conflict = _check_conflict(args)
+        if conflict:
+            parser.error(conflict)
     if getattr(args, "queue_bound", None) == 0:
         args.queue_bound = None
     return args.func(args)

@@ -7,6 +7,8 @@ settle/probe/cooldown scenario.  The scenarios stay at the
 them cheap.
 """
 
+import pathlib
+
 import pytest
 
 from repro.check import (
@@ -20,6 +22,12 @@ from repro.check import (
     self_test,
 )
 from repro.check.explorer import save_repro
+
+#: Repro files written by an earlier release (``check --self-test`` and
+#: the saga self-test at seed 42): the loader must keep replaying both
+#: formats, and re-saving must reproduce them byte for byte.
+DATA = pathlib.Path(__file__).parent / "data"
+COMMITTED_REPROS = ("self-test-repro.json", "saga-self-test-repro.json")
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +115,19 @@ class TestReproFiles:
         assert not ok
 
 
+class TestCommittedRepros:
+    @pytest.mark.parametrize("name", COMMITTED_REPROS)
+    def test_replays_and_resaves_byte_identically(self, tmp_path, name):
+        path = DATA / name
+        ok, replayed, expected = replay_repro(str(path))
+        assert ok, (replayed.digest(), expected["digest"])
+        assert replayed.violations == expected["violations"]
+        scenario, schedule, _payload = load_repro(str(path))
+        resaved = tmp_path / name
+        save_repro(str(resaved), scenario, schedule, replayed)
+        assert resaved.read_bytes() == path.read_bytes()
+
+
 class TestExplorer:
     def test_small_exploration_is_clean(self):
         report = ScheduleExplorer(
@@ -132,7 +153,7 @@ class TestSelfTest:
         """The checker's own teeth: disable epoch fencing and demand the
         harness produce a confirmed, minimal, replayable counterexample."""
         path = str(tmp_path / "self-test-repro.json")
-        outcome = self_test(repro_path=path)
+        outcome = self_test(CheckScenario(seed=42), repro_path=path)
         assert outcome["ok"], outcome
         assert outcome["violations"]
         assert outcome["replay_ok"]

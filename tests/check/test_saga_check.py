@@ -1,13 +1,18 @@
-"""Tests for the saga atomicity checker: runs, crashes, repro replay."""
+"""Tests for the saga atomicity checker: runs, crashes, repro replay.
+
+The saga scenario runs through the same pipeline as the whisper one
+(:class:`ScheduleExplorer`, :func:`self_test`, :func:`replay_repro`).
+"""
 
 from repro.check import (
     FaultOp,
     SagaCheckScenario,
     Schedule,
-    explore_saga_schedules,
-    replay_saga_repro,
+    ScheduleExplorer,
+    load_repro,
+    replay_repro,
     run_saga_schedule,
-    saga_self_test,
+    self_test,
 )
 from repro.check.saga import ORCHESTRATOR_HOST
 
@@ -55,18 +60,34 @@ def test_run_digest_is_deterministic():
 
 def test_self_test_catches_shrinks_and_replays(tmp_path):
     repro_path = str(tmp_path / "saga-repro.json")
-    outcome = saga_self_test(seed=42, repro_path=repro_path)
+    outcome = self_test(SagaCheckScenario(seed=42), repro_path=repro_path)
     assert outcome["ok"], outcome
     assert outcome["replay_ok"]
     assert any("stranded" in v for v in outcome["violations"])
-    ok, result, expected = replay_saga_repro(repro_path)
+    ok, result, expected = replay_repro(repro_path)
     assert ok
     assert result.digest() == expected["digest"]
 
 
 def test_explore_saga_schedules_clean_on_small_budget():
-    report = explore_saga_schedules(
-        scenario=SMALL, seeds=(3,), schedules_per_seed=2
-    )
-    assert report["clean"], report
-    assert report["runs"] == 3
+    report = ScheduleExplorer(SMALL, seeds=(3,), schedules_per_seed=2).explore()
+    assert report.clean, report.to_dict()
+    assert report.runs == 3
+
+
+def test_saga_exploration_verifies_its_repro_replays(tmp_path):
+    """A found saga counterexample goes through the same seal as a whisper
+    one: shrunk, written, and re-executed to the same digest."""
+    repro_path = str(tmp_path / "saga-explore.json")
+    report = ScheduleExplorer(
+        SMALL.seeded_defect(),
+        seeds=(3,),
+        schedules_per_seed=2,
+        repro_path=repro_path,
+    ).explore()
+    assert not report.clean
+    assert any("stranded" in v for v in report.found["violations"])
+    assert report.found["replay_ok"] is True
+    scenario, _schedule, payload = load_repro(repro_path)
+    assert scenario == SMALL.seeded_defect()
+    assert payload["format"] == "whisper-saga-check/1"

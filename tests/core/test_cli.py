@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -31,6 +34,23 @@ class TestParser:
         assert args.timeout is None
         assert args.replay is None
         assert not args.self_test
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--shards", "3"], ["--regions", "2"], ["--capacity"]],
+    )
+    def test_check_saga_rejects_whisper_axes(self, capsys, flags):
+        """--saga runs the loan fleet; a deployment axis it would silently
+        ignore fails at argument validation instead."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--saga", *flags, "--seeds", "1", "--schedules", "2"])
+        assert exit_info.value.code == 2
+        assert "--saga does not combine with" in capsys.readouterr().err
+
+    def test_check_self_test_and_replay_are_exclusive(self):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["check", "--self-test", "--replay", "x"])
+        assert exit_info.value.code == 2
 
 
 class TestCommands:
@@ -72,3 +92,35 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "self-test" in output
         assert "OK" in output
+
+
+#: Repro files of both formats, as an earlier release wrote them.
+REPRO_DATA = pathlib.Path(__file__).parent.parent / "check" / "data"
+
+
+class TestCheckReplay:
+    @pytest.mark.parametrize(
+        "name", ["self-test-repro.json", "saga-self-test-repro.json"]
+    )
+    def test_replay_reads_either_format(self, capsys, name):
+        path = str(REPRO_DATA / name)
+        assert main(["check", "--replay", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["match"] is True
+        assert payload["violations"]
+
+    @pytest.mark.parametrize("doctor", ["unknown", "missing"])
+    def test_replay_of_unknown_format_exits_broken(self, capsys, tmp_path, doctor):
+        """Exit 1 means "counterexample found"; a file the checker cannot
+        read is a broken checker run (2), reported on one line."""
+        data = json.loads((REPRO_DATA / "self-test-repro.json").read_text())
+        if doctor == "unknown":
+            data["format"] = "whisper-check/99"
+        else:
+            del data["format"]
+        path = tmp_path / "doctored.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", "--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "not a repro file" in captured.err

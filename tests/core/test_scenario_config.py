@@ -1,4 +1,4 @@
-"""Tests for the ScenarioConfig redesign and its legacy-kwargs shims."""
+"""Tests for ScenarioConfig and the typed InvokeResult."""
 
 import dataclasses
 
@@ -26,42 +26,14 @@ class TestScenarioConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.seed = 9
 
-    def test_from_legacy_kwargs_overrides_base(self):
-        base = ScenarioConfig(seed=3, replicas=2)
-        with pytest.warns(DeprecationWarning, match="ScenarioConfig"):
-            merged = ScenarioConfig.from_legacy_kwargs(
-                base, {"replicas": 6, "load_sharing": True}, "test"
-            )
-        assert merged.replicas == 6
-        assert merged.load_sharing is True
-        assert merged.seed == 3
-
-    def test_from_legacy_kwargs_filters_none(self):
-        """None means "not supplied" for the old default-None kwargs."""
-        base = ScenarioConfig(replicas=5)
-        merged = ScenarioConfig.from_legacy_kwargs(
-            base, {"replicas": None, "students": None}, "test"
-        )
-        assert merged is base  # nothing supplied, no warning, no copy
-
-    def test_from_legacy_kwargs_rejects_unknown(self):
-        with pytest.raises(TypeError, match="bogus_knob"):
-            ScenarioConfig.from_legacy_kwargs(None, {"bogus_knob": 1}, "test")
-
 
 class TestLegacyShims:
-    def test_system_legacy_kwargs_warn_and_apply(self):
-        with pytest.warns(DeprecationWarning, match="WhisperSystem"):
-            system = WhisperSystem(seed=11, heartbeat_interval=0.25)
-        assert system.config.seed == 11
-        assert system.config.heartbeat_interval == 0.25
-        assert system.heartbeat_interval == 0.25  # compat property
+    """Deployments take their settings only from a ScenarioConfig: loose
+    keywords are rejected, and a config reaches every layer silently."""
 
-    def test_deploy_student_service_legacy_kwargs(self):
-        system = WhisperSystem(ScenarioConfig(seed=61))
-        with pytest.warns(DeprecationWarning, match="deploy_student_service"):
-            service = system.deploy_student_service(replicas=2)
-        assert len(service.group.peers) == 2
+    def test_system_rejects_loose_keywords(self):
+        with pytest.raises(TypeError):
+            WhisperSystem(seed=11, heartbeat_interval=0.25)
 
     def test_deploy_student_service_unknown_kwarg_raises(self):
         system = WhisperSystem(ScenarioConfig(seed=61))
